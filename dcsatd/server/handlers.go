@@ -17,11 +17,18 @@ import (
 	"blockchaindb/internal/relation"
 )
 
-// decode reads a JSON request body with number fidelity: integers
-// arrive as json.Number and survive the trip into engine values
-// exactly (see toValue).
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every request body. The largest body the
+// benchmark's serve workload sends is a ~41 KB registration (a 40-block
+// state with 66 pending transactions), so the cap leaves room for
+// registrations three orders of magnitude larger while bounding what
+// one request can make the decoder buffer.
+const maxBodyBytes = 64 << 20
+
+// decode reads a JSON request body of at most maxBodyBytes with number
+// fidelity: integers arrive as json.Number and survive the trip into
+// engine values exactly (see toValue).
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.UseNumber()
 	return dec.Decode(v)
 }
@@ -87,7 +94,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.RegisterRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		fail(w, api.CodeBadRequest, "bad register body: "+err.Error(), 0)
 		return
 	}
@@ -288,7 +295,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.DeltaRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		fail(w, api.CodeBadRequest, "bad delta body: "+err.Error(), 0)
 		return
 	}
@@ -349,7 +356,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.CheckRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		fail(w, api.CodeBadRequest, "bad check body: "+err.Error(), 0)
 		return
 	}

@@ -88,8 +88,8 @@ func undecided(cause error) error {
 }
 
 // isCtxErr reports whether err is a context cancellation rather than a
-// real evaluation failure. The parallel schedulers use it to tell a
-// worker that was cut short apart from one that hit a genuine error.
+// real evaluation failure. The parallel search uses it to tell a unit
+// that was cut short apart from one that hit a genuine error.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -107,17 +107,17 @@ type Options struct {
 	// DisableLiveFilter keeps fd-dead pending transactions in the
 	// clique graphs. Ablation only.
 	DisableLiveFilter bool
-	// DisableIncrementalWorlds forces every clique's world to be
-	// materialized and evaluated from scratch instead of being extended
-	// incrementally along the Bron–Kerbosch recursion. Ablation and
-	// differential testing only.
+	// DisableIncrementalWorlds makes the Bron–Kerbosch walk evaluate
+	// every maximal clique's world from scratch at its leaf instead of
+	// extending one world incrementally along the recursion, at any
+	// Workers. Ablation and differential testing only.
 	DisableIncrementalWorlds bool
-	// Workers > 1 enables the parallel search: components of the
-	// ind-q graph are processed concurrently when there are several,
-	// and the first-level branches of the Bron–Kerbosch clique tree
-	// are fanned out across the pool when the search has a single
-	// component (AlgoNaive, non-connected queries, or one giant
-	// ind-q component).
+	// Workers > 1 runs the clique search's work queue on that many
+	// goroutines; otherwise it runs inline on the caller. The units
+	// are the ind-q components, or, when the search has a single
+	// component (AlgoNaive, non-connected queries, or one giant ind-q
+	// component), branches of its Bron–Kerbosch tree. Any value
+	// reports the violation the serial search finds first.
 	Workers int
 	// Deadline, when nonzero, bounds the check's wall clock: past it
 	// the search is cancelled cooperatively and Check returns an
@@ -143,7 +143,7 @@ type Stats struct {
 	Cliques           int  // maximal cliques enumerated
 	WorldsEvaluated   int  // worlds the query was evaluated on
 	WorldsIncremental int  // worlds extended in place along the clique tree (delta re-probe)
-	WorldsRebuilt     int  // worlds materialized from scratch (tree roots and fallback yields)
+	WorldsRebuilt     int  // worlds materialized from scratch (tree roots and from-scratch leaves)
 	Duration          time.Duration
 
 	// Cost-attribution counters (obs.CostVector sources): compiled-plan
@@ -170,7 +170,7 @@ type Stats struct {
 
 // Merge folds another invocation's (or worker's) stats into s: counts
 // and durations add; booleans or. Every additive field must be listed
-// here — the parallel schedulers rely on Merge to not drop stats.
+// here — the parallel search relies on Merge to not drop stats.
 func (s *Stats) Merge(o Stats) {
 	s.Prechecked = s.Prechecked || o.Prechecked
 	s.LivePending += o.LivePending
@@ -581,87 +581,47 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 		}
 		searchSpan.End()
 	}()
-	if opts.Workers > 1 {
-		if len(groups) == 1 {
-			// One component — AlgoNaive, a non-connected query, or a
-			// single giant ind-q component. Component-level parallelism
-			// has nothing to fan out; split inside the clique tree.
-			comp := groups[0]
-			if optimized && !opts.DisableCoverFilter && !covers(d, comp, targets) {
-				return res, nil
-			}
-			res.Stats.ComponentsCovered++
-			violated, witness, err := cachedComponentSearch(env, comp, &res.Stats, func() (bool, []int, error) {
-				return searchComponentParallel(ctx, d, q, comp, opts, env, &res.Stats)
-			})
-			if err != nil {
-				return res, err
-			}
-			if violated {
-				res.Satisfied = false
-				res.Witness = witness
-			}
-			return res, nil
-		}
-		return res, cliqueDCSatParallel(ctx, d, q, opts, groups, targets, env, res)
+	o := searchComponents(ctx, d, q, groups, targets, opts.Workers, env, &res.Stats)
+	if o == nil {
+		return res, nil
 	}
-	for _, comp := range groups {
-		if optimized && !opts.DisableCoverFilter && !covers(d, comp, targets) {
-			continue
-		}
-		res.Stats.ComponentsCovered++
-		violated, witness, err := searchComponentCached(ctx, d, q, comp, env, &res.Stats)
-		if err != nil {
-			return res, err
-		}
-		if violated {
-			res.Satisfied = false
-			res.Witness = witness
-			return res, nil
-		}
+	if o.err != nil {
+		return res, o.err
 	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
+	res.Satisfied = false
+	res.Witness = o.witness
 	return res, nil
 }
 
-// searchComponent enumerates the maximal cliques of the fd-transaction
-// graph over the component and evaluates the query on each maximal
-// world. It reports the first violating world found.
-func searchComponent(ctx context.Context, d *possible.DB, q *query.Query, comp []int, env checkEnv, stats *Stats) (bool, []int, error) {
-	buildStart := time.Now()
-	cg := env.fdGraph(comp)
-	stats.GraphBuildDur += time.Since(buildStart)
-	return searchComponentGraph(ctx, d, q, cg, env, stats)
-}
-
-// cliqueSearch is the per-clique evaluation shared by the serial,
-// component-parallel, and clique-branch-parallel searches. It runs in
-// one of two modes. The incremental mode (beginIncremental plus the
-// MaximalCliquesVisitor methods) maintains ONE world along the
-// Bron–Kerbosch recursion: each Descend pushes a transaction onto a
-// possible.WorldStack and re-probes only the plan steps that can touch
-// the delta, each Ascend pops the undo log, and leaves cost nothing —
-// their worlds were already evaluated edge by edge on the way down.
-// The fallback mode (yield) materializes and evaluates the maximal
-// world of each maximal clique from scratch; it remains the path for
-// aggregate or negated queries (no delta evaluation), checks without a
-// compiled plan, and the DisableIncrementalWorlds ablation.
+// cliqueSearch walks one component's Bron–Kerbosch tree, or one
+// branch of it, and evaluates the query on the maximal world of each
+// maximal clique. It has two modes, both graph.MaximalCliquesVisitor
+// walks. The incremental mode (beginIncremental plus cliqueSearch's
+// own visitor methods) maintains ONE world along the recursion: each
+// Descend pushes a transaction onto a possible.WorldStack and
+// re-probes only the plan steps that can touch the delta, each Ascend
+// pops the undo log, and leaves cost nothing — their worlds were
+// already evaluated edge by edge on the way down. The from-scratch
+// mode (fromScratch) is a Leaf evaluator that materializes and
+// evaluates each maximal world anew; it remains the path for aggregate
+// or negated queries (no delta evaluation), checks without a compiled
+// plan, and the DisableIncrementalWorlds ablation.
 //
-// Not safe for concurrent use — parallel searches give each worker its
-// own instance (and its own Stats, merged afterwards).
+// Not safe for concurrent use — parallel searches give each unit its
+// own instance (and each worker its own Stats, merged afterwards).
 type cliqueSearch struct {
-	ctx      context.Context
-	d        *possible.DB
-	q        *query.Query
-	comp     []int // conflicted members, in the searched graph's vertex order
-	base     []int // universal members: part of EVERY maximal world of the component
-	stats    *Stats
-	violated bool
-	witness  []int
-	err      error // evaluation error, or the context's error
-	evalDur  time.Duration
+	ctx         context.Context
+	d           *possible.DB
+	q           *query.Query
+	g           *graph.Undirected // the component's fd graph over its conflicted members
+	comp        []int             // conflicted members, in g's vertex order
+	base        []int             // universal members: part of EVERY maximal world of the component
+	stats       *Stats
+	incremental bool // see checkEnv.incremental
+	violated    bool
+	witness     []int
+	err         error // evaluation error, or the context's error
+	evalDur     time.Duration
 
 	// Per-search hot-loop state: the compiled plan (nil falls back to
 	// query.Eval's cached-plan path), its evaluation scratch, the
@@ -694,10 +654,49 @@ func (s *cliqueSearch) eval(world relation.View) (bool, error) {
 	return s.plan.Eval(world, s.sc)
 }
 
-// yield is the graph.MaximalCliques callback of the fallback mode.
-// Time spent here — materializing and evaluating the world — accrues
-// to EvalDur; the remainder of the enumeration accrues to CliqueDur.
-func (s *cliqueSearch) yield(clique []int) bool {
+// newCliqueSearch prepares a search over one component's fd graph.
+func newCliqueSearch(ctx context.Context, d *possible.DB, q *query.Query, cg *fdCompGraph, env checkEnv, stats *Stats) *cliqueSearch {
+	return &cliqueSearch{ctx: ctx, d: d, q: q, g: cg.g, comp: cg.conflicted, base: cg.universal,
+		stats: stats, plan: env.plan, incremental: env.incremental}
+}
+
+// walk searches the subtree under branch b and reports the first
+// violating world or error, a context cancellation included. The
+// component's universal members are prepended to every world.
+func (s *cliqueSearch) walk(b graph.CliqueBranch) *searchOutcome {
+	enumStart := time.Now()
+	var ctxErr error
+	if !s.incremental {
+		ctxErr = graph.MaximalCliquesBranchVisit(s.ctx, s.g, b, fromScratch{s})
+	} else if s.beginIncremental() {
+		ctxErr = graph.MaximalCliquesBranchVisit(s.ctx, s.g, b, s)
+	}
+	s.stats.CliqueDur += time.Since(enumStart) - s.evalDur
+	s.stats.EvalDur += s.evalDur
+	if s.sc != nil {
+		s.stats.PlanProbes += s.sc.TotalProbes()
+	}
+	switch {
+	case s.violated:
+		return &searchOutcome{hit: true, witness: s.witness}
+	case s.err != nil:
+		return &searchOutcome{err: s.err}
+	case ctxErr != nil:
+		return &searchOutcome{err: ctxErr}
+	}
+	return nil
+}
+
+// fromScratch is cliqueSearch's from-scratch mode: tree edges cost
+// nothing, and each Leaf — whose r is the clique's path — materializes
+// the clique's maximal world and evaluates the query on it. Time spent
+// in Leaf accrues to EvalDur; the rest of the walk to CliqueDur.
+type fromScratch struct{ *cliqueSearch }
+
+func (fromScratch) Descend(int) bool { return true }
+func (fromScratch) Ascend()          {}
+
+func (s fromScratch) Leaf(clique []int) bool {
 	// Worlds can take milliseconds each; poll between them so a
 	// deadline interrupts the evaluation loop, not just the tree walk.
 	if err := s.ctx.Err(); err != nil {
@@ -825,36 +824,6 @@ func (s *cliqueSearch) Leaf(r []int) bool {
 	s.stats.Cliques++
 	s.stats.WorldsEvaluated++
 	return true
-}
-
-// searchComponentGraph is searchComponent with a caller-supplied fd
-// graph. The enumeration runs over the conflicted subgraph only; the
-// component's universal members are prepended to every world. A
-// context cancellation surfaces as that context's error, which
-// checkContext translates into ErrUndecided.
-func searchComponentGraph(ctx context.Context, d *possible.DB, q *query.Query, cg *fdCompGraph, env checkEnv, stats *Stats) (bool, []int, error) {
-	cs := &cliqueSearch{ctx: ctx, d: d, q: q, comp: cg.conflicted, base: cg.universal, stats: stats, plan: env.plan}
-	enumStart := time.Now()
-	var ctxErr error
-	if env.incremental {
-		if cs.beginIncremental() {
-			ctxErr = graph.MaximalCliquesVisit(ctx, cg.g, cs)
-		}
-	} else {
-		ctxErr = graph.MaximalCliquesCtx(ctx, cg.g, cs.yield)
-	}
-	stats.CliqueDur += time.Since(enumStart) - cs.evalDur
-	stats.EvalDur += cs.evalDur
-	if cs.sc != nil {
-		stats.PlanProbes += cs.sc.TotalProbes()
-	}
-	if cs.violated {
-		return true, cs.witness, nil
-	}
-	if cs.err != nil {
-		return false, nil, cs.err
-	}
-	return false, nil, ctxErr
 }
 
 // fdOnlyDCSat implements the PTIME algorithm behind Theorem 1.1 for

@@ -2,13 +2,12 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"sort"
 	"sync"
+	"time"
 
 	"blockchaindb/internal/graph"
 	"blockchaindb/internal/obs"
-	"blockchaindb/internal/possible"
 	"blockchaindb/internal/query"
 )
 
@@ -62,11 +61,11 @@ type componentCache interface {
 }
 
 // checkEnv bundles the per-check plumbing threaded from checkContext
-// down through cliqueDCSat into the serial and parallel component
-// searches: the fd-graph hook, the maintained component-split hook,
-// the delta sweeper, the verdict cache, the query fingerprint, the
-// compiled query plan every per-world evaluation reuses, and the
-// check ID journal events correlate on.
+// down through cliqueDCSat into the component search: the fd-graph
+// hook, the maintained component-split hook, the delta sweeper, the
+// verdict cache, the query fingerprint, the compiled query plan every
+// per-world evaluation reuses, and the check ID journal events
+// correlate on.
 type checkEnv struct {
 	fdGraph    fdGraphFn
 	components componentsFn
@@ -272,36 +271,50 @@ func (v monitorCacheView) store(qfp string, comp []int, violated bool, witness [
 	v.m.cache.put(cacheKey(qfp, fp), verdictEntry{violated: violated, witnessPos: pos})
 }
 
-// cachedComponentSearch wraps one component's search with the verdict
-// cache: replay on hit (journaled as check_cached_component), search
-// and store on miss, store nothing on error. With no cache in the env
-// it degrades to the bare search.
-func cachedComponentSearch(env checkEnv, comp []int, stats *Stats, search func() (bool, []int, error)) (bool, []int, error) {
+// cached replays a component's verdict from the cache (journaled as
+// check_cached_component): ok reports a hit, and the outcome is nil for
+// a satisfied component. With no cache in the env every lookup misses
+// uncounted.
+func (env checkEnv) cached(comp []int, stats *Stats) (o *searchOutcome, ok bool) {
 	if env.cache == nil {
-		return search()
+		return nil, false
 	}
-	if violated, witness, ok := env.cache.lookup(env.qfp, comp); ok {
-		stats.ComponentsCached++
-		stats.CacheHits++
-		mCacheHits.Inc()
-		obs.DefaultJournal.Append(obs.EvCachedComponent, env.checkID, "",
-			obs.F("members", len(comp)),
-			obs.F("violated", violated))
-		return violated, witness, nil
+	violated, witness, ok := env.cache.lookup(env.qfp, comp)
+	if !ok {
+		stats.CacheMisses++
+		mCacheMisses.Inc()
+		return nil, false
 	}
-	stats.CacheMisses++
-	mCacheMisses.Inc()
-	violated, witness, err := search()
-	if err == nil {
-		env.cache.store(env.qfp, comp, violated, witness)
+	stats.ComponentsCached++
+	stats.CacheHits++
+	mCacheHits.Inc()
+	obs.DefaultJournal.Append(obs.EvCachedComponent, env.checkID, "",
+		obs.F("members", len(comp)),
+		obs.F("violated", violated))
+	if violated {
+		return &searchOutcome{hit: true, witness: witness}, true
 	}
-	return violated, witness, err
+	return nil, true
 }
 
-// searchComponentCached is the serial per-component search behind the
-// cache: exactly searchComponent on a miss.
-func searchComponentCached(ctx context.Context, d *possible.DB, q *query.Query, comp []int, env checkEnv, stats *Stats) (bool, []int, error) {
-	return cachedComponentSearch(env, comp, stats, func() (bool, []int, error) {
-		return searchComponent(ctx, d, q, comp, env, stats)
-	})
+// remember stores a finished search's verdict. A search that ended in
+// an error, cancellation included, has proven nothing and stores
+// nothing.
+func (env checkEnv) remember(comp []int, o *searchOutcome) {
+	if env.cache == nil || (o != nil && o.err != nil) {
+		return
+	}
+	if o == nil {
+		env.cache.store(env.qfp, comp, false, nil)
+		return
+	}
+	env.cache.store(env.qfp, comp, true, o.witness)
+}
+
+// buildGraph builds a component's fd graph, timed as GraphBuildDur.
+func (env checkEnv) buildGraph(comp []int, stats *Stats) *fdCompGraph {
+	start := time.Now()
+	cg := env.fdGraph(comp)
+	stats.GraphBuildDur += time.Since(start)
+	return cg
 }

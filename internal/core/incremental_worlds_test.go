@@ -35,8 +35,9 @@ var incrementalQueries = []string{
 // TestIncrementalWorldsDifferential is the incremental-vs-from-scratch
 // oracle: on random Bitcoin-like databases the default (incremental)
 // clique search and the DisableIncrementalWorlds ablation must agree
-// on the verdict, serial and branch-parallel alike, and any witness
-// must be a reachable world that satisfies the query.
+// on the verdict, serial and branch-parallel alike (the ablation's
+// from-scratch walk included), and any witness must be a reachable
+// world that satisfies the query.
 func TestIncrementalWorldsDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -51,6 +52,8 @@ func TestIncrementalWorldsDifferential(t *testing.T) {
 			{Algorithm: AlgoNaive},
 			{Algorithm: AlgoOpt, Workers: 3},
 			{Algorithm: AlgoNaive, Workers: 3},
+			{Algorithm: AlgoOpt, Workers: 3, DisableIncrementalWorlds: true},
+			{Algorithm: AlgoNaive, Workers: 3, DisableIncrementalWorlds: true},
 			{Algorithm: AlgoOpt, DisablePrecheck: true},
 		} {
 			got, err := Check(context.Background(), d, q, opts)

@@ -32,7 +32,7 @@ var (
 	// the histogram records the recursion depth at which each in-place
 	// extension happened — deeper means more shared prefix work per world.
 	mWorldsIncremental = obs.DefaultWindows.Counter(obs.MetricWorldsIncremental, "worlds extended in place along the clique tree (delta re-probe)")
-	mWorldsRebuilt     = obs.DefaultWindows.Counter(obs.MetricWorldsRebuilt, "worlds materialized from scratch (tree roots and fallback yields)")
+	mWorldsRebuilt     = obs.DefaultWindows.Counter(obs.MetricWorldsRebuilt, "worlds materialized from scratch (tree roots and from-scratch leaves)")
 	hReuseDepth        = obs.DefaultWindows.Histogram(obs.MetricReuseDepth, "clique-tree depth of each incremental world extension")
 
 	// Incremental verdict cache (Monitor-owned; see incremental.go).

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,57 +11,88 @@ import (
 	"blockchaindb/internal/query"
 )
 
-// parOutcome is a stopping result from one unit of parallel work: a
-// violating world or a real evaluation error. Units that finish clean,
-// are filtered out, or are cut short by cancellation produce none.
-type parOutcome struct {
+// searchOutcome is a stopping result from one unit of search work: a
+// violating world or an error. Units that finish clean or are filtered
+// out produce none.
+type searchOutcome struct {
 	hit     bool
 	witness []int
 	err     error
 }
 
-// runDeterministic fans n independent units of work over a pool of
-// workers and resolves them to a schedule-independent outcome. The
-// naive approach — first goroutine to find anything wins — returns
-// whichever violation or error the scheduler happened to finish first;
-// two runs on the same data could report different witnesses, or an
-// error on one run and a witness on the next. Instead the pool
-// maintains an atomic bound: the lowest unit index that produced a
-// stopping outcome so far. A new stopping outcome at index p lowers the
-// bound and cancels only units *above* p, so every unit below the final
-// bound runs to completion and the final bound — hence the winning
-// outcome — depends only on the data, never on goroutine timing.
+// runDeterministic runs n units of work, indexed in serial order, and
+// resolves them to a schedule-independent outcome: the stopping
+// outcome of the lowest-indexed unit that has one, exactly what a
+// serial loop over the units would stop at.
 //
-// Per-worker stats are folded into stats (under a mutex) via
-// Stats.Merge, including each worker's busy wall time. A nil return
-// means every unit completed without a stopping outcome; a parOutcome
-// holding a context error means the parent ctx was cancelled before the
-// units could decide.
-func runDeterministic(ctx context.Context, n, workers int, stats *Stats, statsMu *sync.Mutex, run func(ctx context.Context, i int, local *Stats) *parOutcome) *parOutcome {
-	ctxs := make([]context.Context, n)
-	cancels := make([]context.CancelFunc, n)
-	for i := range ctxs {
-		ctxs[i], cancels[i] = context.WithCancel(ctx)
-	}
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	outcomes := make([]*parOutcome, n)
-	var next, bound atomic.Int64
-	bound.Store(int64(n))
-	lower := func(p int) {
-		for {
-			cur := bound.Load()
-			if int64(p) >= cur {
-				return
+// With one worker (or at most one unit) the units run inline on the
+// caller, in index order, with the caller's context and Stats, and the
+// first outcome stops the loop — no goroutine, no per-unit context.
+//
+// With more, a pool of workers takes units in index order. The naive
+// pool — first goroutine to find anything wins — would return
+// whichever violation or error the scheduler happened to finish first.
+// Instead the pool keeps a bound: the lowest unit index that produced
+// a stopping outcome so far. A new stopping outcome at index p lowers
+// the bound and cancels only the running units *above* p; units above
+// the bound that have not started are skipped. Every unit below the
+// final bound runs to completion, so the winning outcome depends only
+// on the data, never on goroutine timing. Each unit's context is
+// created when the unit starts. A unit cut short by a context error
+// proves nothing and is dropped; per-worker Stats, busy time included,
+// are folded into stats via Stats.Merge.
+//
+// A nil return means every unit completed without a stopping outcome;
+// an outcome holding a context error means the parent ctx was
+// cancelled before the units could decide.
+func runDeterministic(ctx context.Context, n, workers int, stats *Stats, run func(ctx context.Context, i int, local *Stats) *searchOutcome) *searchOutcome {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			if o := run(ctx, i, stats); o != nil {
+				return o
 			}
-			if bound.CompareAndSwap(cur, int64(p)) {
-				for j := p + 1; j < n; j++ {
-					cancels[j]()
-				}
-				return
+		}
+	} else if o := runPool(ctx, n, workers, stats, run); o != nil {
+		return o
+	}
+	if err := ctx.Err(); err != nil {
+		return &searchOutcome{err: err}
+	}
+	return nil
+}
+
+// runPool is runDeterministic's multi-worker schedule.
+func runPool(ctx context.Context, n, workers int, stats *Stats, run func(ctx context.Context, i int, local *Stats) *searchOutcome) *searchOutcome {
+	stats.WorkersUsed = workers
+	var (
+		mu       sync.Mutex // guards bound, cancels, outcomes, and stats
+		bound    = n
+		cancels  = make([]context.CancelFunc, n) // running units only
+		outcomes = make([]*searchOutcome, n)
+		next     atomic.Int64
+	)
+	start := func(i int) (context.Context, context.CancelFunc) {
+		mu.Lock()
+		defer mu.Unlock()
+		if i > bound {
+			return nil, nil // above the bound: cannot affect the result
+		}
+		uctx, cancel := context.WithCancel(ctx)
+		cancels[i] = cancel
+		return uctx, cancel
+	}
+	finish := func(i int, o *searchOutcome) {
+		mu.Lock()
+		defer mu.Unlock()
+		cancels[i] = nil
+		if o == nil || (!o.hit && isCtxErr(o.err)) || i >= bound {
+			return
+		}
+		outcomes[i] = o
+		bound = i
+		for _, cancel := range cancels[i+1:] {
+			if cancel != nil {
+				cancel()
 			}
 		}
 	}
@@ -85,19 +114,19 @@ func runDeterministic(ctx context.Context, n, workers int, stats *Stats, statsMu
 				if i >= n {
 					break
 				}
-				if int64(i) > bound.Load() {
-					continue // above the bound: cannot affect the result
+				uctx, cancel := start(i)
+				if uctx == nil {
+					continue
 				}
-				if o := run(ctxs[i], i, &local); o != nil {
-					outcomes[i] = o
-					lower(i)
-				}
+				o := run(uctx, i, &local)
+				cancel()
+				finish(i, o)
 			}
 			local.WorkerBusy = time.Since(busyStart)
 			busyNS.Add(int64(local.WorkerBusy))
-			statsMu.Lock()
+			mu.Lock()
 			stats.Merge(local)
-			statsMu.Unlock()
+			mu.Unlock()
 		}()
 	}
 	wg.Wait()
@@ -108,78 +137,9 @@ func runDeterministic(ctx context.Context, n, workers int, stats *Stats, statsMu
 		gPoolUtil.Set(permille)
 		hPoolSat.Observe(permille)
 	}
-	// The first recorded outcome in index order sits exactly at the
-	// final bound: everything below it completed without stopping.
-	for _, o := range outcomes {
-		if o != nil {
-			return o
-		}
+	if bound < n {
+		return outcomes[bound]
 	}
-	if err := ctx.Err(); err != nil {
-		return &parOutcome{err: err}
-	}
-	return nil
-}
-
-// poolSize resolves Options.Workers (non-positive means one per CPU).
-func poolSize(opts Options) int {
-	if opts.Workers > 0 {
-		return opts.Workers
-	}
-	return runtime.NumCPU()
-}
-
-// cliqueDCSatParallel runs OptDCSat's per-component search across a
-// worker pool — the single-machine form of the paper's "scaling to a
-// distributed environment" future work. Components are independent by
-// Proposition 2, so each worker owns a component end to end: coverage
-// filter, fd-graph construction, clique enumeration, world evaluation.
-// Components are ordered largest-first (index ascending on ties) so
-// stragglers do not serialize the tail, and the outcome is resolved by
-// runDeterministic: the violation or error from the lowest-ordered
-// component wins regardless of which goroutine finished first, with a
-// real error beating a violation at any higher-ordered component.
-func cliqueDCSatParallel(ctx context.Context, d *possible.DB, q *query.Query, opts Options, groups [][]int, targets []coverTarget, env checkEnv, res *Result) error {
-	workers := poolSize(opts)
-	res.Stats.WorkersUsed = workers
-	order := make([]int, len(groups))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := len(groups[order[a]]), len(groups[order[b]])
-		if la != lb {
-			return la > lb
-		}
-		return order[a] < order[b]
-	})
-	var statsMu sync.Mutex
-	o := runDeterministic(ctx, len(order), workers, &res.Stats, &statsMu,
-		func(cctx context.Context, i int, local *Stats) *parOutcome {
-			comp := groups[order[i]]
-			if !opts.DisableCoverFilter && !covers(d, comp, targets) {
-				return nil
-			}
-			local.ComponentsCovered++
-			violated, witness, err := searchComponentCached(cctx, d, q, comp, env, local)
-			switch {
-			case err != nil && isCtxErr(err):
-				return nil // cut short by a sibling's cancellation (or the parent's)
-			case err != nil:
-				return &parOutcome{err: err}
-			case violated:
-				return &parOutcome{hit: true, witness: witness}
-			}
-			return nil
-		})
-	if o == nil {
-		return nil
-	}
-	if o.err != nil {
-		return o.err
-	}
-	res.Satisfied = false
-	res.Witness = o.witness
 	return nil
 }
 
@@ -189,68 +149,59 @@ func cliqueDCSatParallel(ctx context.Context, d *possible.DB, q *query.Query, op
 // idling behind the largest.
 const branchesPerWorker = 4
 
-// searchComponentParallel is searchComponent with the Bron–Kerbosch
-// tree itself fanned out across the worker pool: CliqueBranches splits
-// the pivoted recursion into independent subtrees that partition the
-// component's maximal cliques, and each worker enumerates whole
-// subtrees with its own cliqueSearch and Stats. This is what makes
-// Workers > 1 effective for AlgoNaive, non-connected queries, and a
-// single giant ind-q component — the cases where component-level
-// parallelism has exactly one unit of work. When the tree never widens
-// (a component whose fd graph has essentially one maximal clique,
-// where there is nothing to parallelize) the search falls back to the
-// serial path on the calling goroutine.
-func searchComponentParallel(ctx context.Context, d *possible.DB, q *query.Query, comp []int, opts Options, env checkEnv, stats *Stats) (bool, []int, error) {
-	workers := poolSize(opts)
-	buildStart := time.Now()
-	cg := env.fdGraph(comp)
-	stats.GraphBuildDur += time.Since(buildStart)
-	splitStart := time.Now()
-	branches := graph.CliqueBranches(cg.g, workers*branchesPerWorker)
-	stats.CliqueDur += time.Since(splitStart)
-	if len(branches) <= 1 {
-		return searchComponentGraph(ctx, d, q, cg, env, stats)
-	}
-	stats.WorkersUsed = workers
-	var statsMu sync.Mutex
-	o := runDeterministic(ctx, len(branches), workers, stats, &statsMu,
-		func(cctx context.Context, i int, local *Stats) *parOutcome {
-			// Each branch worker owns its cliqueSearch: the shared plan is
-			// read-only, the scratch/overlay/world-stack state is
-			// per-search. In incremental mode the branch's path prefix is
-			// replayed as Descends, so the worker's world stack starts at
-			// the subtree's root with every prefix world already verified
-			// hit-free (or the walk stops right there with the violation).
-			cs := &cliqueSearch{ctx: cctx, d: d, q: q, comp: cg.conflicted, base: cg.universal, stats: local, plan: env.plan}
-			enumStart := time.Now()
-			var ctxErr error
-			if env.incremental {
-				if cs.beginIncremental() {
-					ctxErr = graph.MaximalCliquesBranchVisit(cctx, cg.g, branches[i], cs)
-				}
-			} else {
-				ctxErr = graph.MaximalCliquesBranch(cctx, cg.g, branches[i], cs.yield)
-			}
-			local.CliqueDur += time.Since(enumStart) - cs.evalDur
-			local.EvalDur += cs.evalDur
-			if cs.sc != nil {
-				local.PlanProbes += cs.sc.TotalProbes()
-			}
-			switch {
-			case cs.violated:
-				return &parOutcome{hit: true, witness: cs.witness}
-			case cs.err != nil && !isCtxErr(cs.err):
-				return &parOutcome{err: cs.err}
-			case cs.err != nil || ctxErr != nil:
-				return nil // cancelled mid-subtree
-			}
+// searchComponents is the one clique-search loop behind NaiveDCSat
+// and OptDCSat: for each component, for each maximal clique of its fd
+// graph, evaluate q on the clique's maximal world, stopping at the
+// first violation or error. It runs the loop as a single
+// runDeterministic queue indexed in serial order, so any worker count
+// reports what the serial loop would.
+//
+// A unit is normally one component, worked lazily when dequeued: the
+// covers filter, the verdict-cache lookup, the fd-graph build, then one
+// cliqueSearch walked from the graph's root branch, whose verdict is
+// stored back. A lone component with more than one worker has nothing
+// to share at that grain, so it is filtered, looked up and built once
+// up front, and its CliqueBranches — which partition its maximal
+// cliques, in the order the whole walk reaches them — become the units
+// instead; its verdict is stored once all branches resolve.
+func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, groups [][]int, targets []coverTarget, workers int, env checkEnv, stats *Stats) *searchOutcome {
+	var split *fdCompGraph
+	var branches []graph.CliqueBranch
+	n := len(groups)
+	if n == 1 && workers > 1 {
+		comp := groups[0]
+		if !covers(d, comp, targets) {
 			return nil
-		})
-	if o == nil {
-		return false, nil, nil
+		}
+		stats.ComponentsCovered++
+		if o, ok := env.cached(comp, stats); ok {
+			return o
+		}
+		split = env.buildGraph(comp, stats)
+		splitStart := time.Now()
+		branches = graph.CliqueBranches(split.g, workers*branchesPerWorker)
+		stats.CliqueDur += time.Since(splitStart)
+		n = len(branches)
 	}
-	if o.err != nil {
-		return false, nil, o.err
+	o := runDeterministic(ctx, n, workers, stats, func(uctx context.Context, i int, local *Stats) *searchOutcome {
+		if split != nil {
+			return newCliqueSearch(uctx, d, q, split, env, local).walk(branches[i])
+		}
+		comp := groups[i]
+		if !covers(d, comp, targets) {
+			return nil
+		}
+		local.ComponentsCovered++
+		if o, ok := env.cached(comp, local); ok {
+			return o
+		}
+		cg := env.buildGraph(comp, local)
+		o := newCliqueSearch(uctx, d, q, cg, env, local).walk(graph.RootBranch(cg.g))
+		env.remember(comp, o)
+		return o
+	})
+	if split != nil {
+		env.remember(groups[0], o)
 	}
-	return true, o.witness, nil
+	return o
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -41,33 +40,63 @@ func singleAtomQuery() *query.Query {
 	}}
 }
 
-// TestParallelDeterministicWitness forces the scheduling race the old
-// component-parallel search lost: 16 components each hold a violation,
-// 4 workers race to report one. The outcome must be the violation from
-// the lowest-ordered component — the same witness the serial search
-// returns — on every run, regardless of which goroutine finishes
-// first.
+// unevenComponentsDB builds two violating ind-q components of
+// different sizes for q() :- R(x, 2): T0 inserts R(0, 2) alone; T1
+// inserts R(10, 2) and T2 inserts S(10), which the IND S(a) ⊆ R(k) ties
+// to T1. The serial search reaches the smaller component {T0} first, so
+// a schedule that starts the larger one first must still report [0].
+func unevenComponentsDB() *possible.DB {
+	s := relation.NewState()
+	s.MustAddSchema(relation.NewSchema("R", "k:int", "v:int"))
+	s.MustAddSchema(relation.NewSchema("S", "a:int"))
+	cons := constraint.MustNewSet(s,
+		[]*constraint.FD{constraint.NewKey(s.Schema("R"), "k")},
+		[]*constraint.IND{constraint.NewIND("S", []string{"a"}, "R", []string{"k"})})
+	return possible.MustNew(s, cons, []*relation.Transaction{
+		relation.NewTransaction("T0").Add("R", value.NewTuple(value.Int(0), value.Int(2))),
+		relation.NewTransaction("T1").Add("R", value.NewTuple(value.Int(10), value.Int(2))),
+		relation.NewTransaction("T2").Add("S", value.NewTuple(value.Int(10))),
+	})
+}
+
+// TestParallelDeterministicWitness forces the scheduling races a
+// parallel search can lose: many components each holding a violation,
+// components of uneven size, and one component split into
+// Bron–Kerbosch branches, several of which violate. The outcome must be
+// the violation the serial search returns, on every run, regardless of
+// which goroutine finishes first.
 func TestParallelDeterministicWitness(t *testing.T) {
-	d := singletonComponentsDB(16)
 	q := singleAtomQuery()
-	serial, err := Check(context.Background(), d, q, Options{Algorithm: AlgoOpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Satisfied || len(serial.Witness) != 1 {
-		t.Fatalf("serial: satisfied=%v witness=%v", serial.Satisfied, serial.Witness)
-	}
-	for run := 0; run < 50; run++ {
-		par, err := Check(context.Background(), d, q, Options{Algorithm: AlgoOpt, Workers: 4})
+	for _, tc := range []struct {
+		name string
+		d    *possible.DB
+		algo Algorithm
+	}{
+		{"16 singleton components", singletonComponentsDB(16), AlgoOpt},
+		{"uneven components", unevenComponentsDB(), AlgoOpt},
+		{"one component in branches", conflictPairsDB(6), AlgoNaive},
+	} {
+		serial, err := Check(context.Background(), tc.d, q, Options{Algorithm: tc.algo})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Satisfied {
-			t.Fatalf("run %d: parallel run satisfied", run)
+		if serial.Satisfied {
+			t.Fatalf("%s: serial run satisfied", tc.name)
 		}
-		if fmt.Sprint(par.Witness) != fmt.Sprint(serial.Witness) {
-			t.Fatalf("run %d: witness %v, serial picked %v — outcome depends on scheduling",
-				run, par.Witness, serial.Witness)
+		for _, workers := range []int{2, 3, 4} {
+			for run := 0; run < 50; run++ {
+				par, err := Check(context.Background(), tc.d, q, Options{Algorithm: tc.algo, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if par.Satisfied {
+					t.Fatalf("%s workers=%d run %d: parallel run satisfied", tc.name, workers, run)
+				}
+				if fmt.Sprint(par.Witness) != fmt.Sprint(serial.Witness) {
+					t.Fatalf("%s workers=%d run %d: witness %v, serial picked %v — outcome depends on scheduling",
+						tc.name, workers, run, par.Witness, serial.Witness)
+				}
+			}
 		}
 	}
 }
@@ -80,26 +109,26 @@ func TestRunDeterministicResolution(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
 		name    string
-		results map[int]parOutcome // unit index -> outcome (others complete clean)
+		results map[int]searchOutcome // unit index -> outcome (others complete clean)
 		slow    map[int]time.Duration
 		wantErr bool
 		wantWit []int
 	}{
 		{
 			name:    "slow low violation beats fast high violation",
-			results: map[int]parOutcome{2: {hit: true, witness: []int{2}}, 6: {hit: true, witness: []int{6}}},
+			results: map[int]searchOutcome{2: {hit: true, witness: []int{2}}, 6: {hit: true, witness: []int{6}}},
 			slow:    map[int]time.Duration{2: 5 * time.Millisecond},
 			wantWit: []int{2},
 		},
 		{
 			name:    "low error beats later violation",
-			results: map[int]parOutcome{1: {err: boom}, 5: {hit: true, witness: []int{5}}},
+			results: map[int]searchOutcome{1: {err: boom}, 5: {hit: true, witness: []int{5}}},
 			slow:    map[int]time.Duration{1: 5 * time.Millisecond},
 			wantErr: true,
 		},
 		{
 			name:    "low violation beats later error",
-			results: map[int]parOutcome{2: {hit: true, witness: []int{2}}, 5: {err: boom}},
+			results: map[int]searchOutcome{2: {hit: true, witness: []int{2}}, 5: {err: boom}},
 			slow:    map[int]time.Duration{2: 5 * time.Millisecond},
 			wantWit: []int{2},
 		},
@@ -107,9 +136,8 @@ func TestRunDeterministicResolution(t *testing.T) {
 	for _, tc := range cases {
 		for run := 0; run < 10; run++ {
 			var stats Stats
-			var mu sync.Mutex
-			o := runDeterministic(context.Background(), 8, 4, &stats, &mu,
-				func(ctx context.Context, i int, local *Stats) *parOutcome {
+			o := runDeterministic(context.Background(), 8, 4, &stats,
+				func(ctx context.Context, i int, local *Stats) *searchOutcome {
 					if d := tc.slow[i]; d > 0 {
 						time.Sleep(d)
 					}

@@ -313,14 +313,17 @@ func (sw *monitorSweeper) computeRoot(ctx context.Context, d *possible.DB, q *qu
 		return v, nil
 	}
 	v.searched = true
-	violated, witness, err := searchComponentCached(ctx, d, q, comp, env, stats)
-	if err != nil {
-		return nil, err
+	// One worker: a sweep reconciles many small components one at a
+	// time, and splitting each across a pool would cost more in
+	// goroutines than its walk.
+	o := searchComponents(ctx, d, q, [][]int{comp}, nil, 1, env, stats)
+	if o != nil && o.err != nil {
+		return nil, o.err
 	}
-	if violated {
+	if o != nil {
 		v.violated = true
-		v.witness = make([]int, len(witness))
-		for i, s := range witness {
+		v.witness = make([]int, len(o.witness))
+		for i, s := range o.witness {
 			v.witness[i] = m.ids[s]
 		}
 	}

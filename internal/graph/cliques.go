@@ -11,11 +11,10 @@ import (
 // profiles.
 const ctxCheckInterval = 64
 
-// cliqueEnum carries one enumeration's state: the graph, the yield
-// callback, and the cooperative-cancellation bookkeeping.
+// cliqueEnum carries one walk's state: the graph and the cooperative
+// cancellation bookkeeping.
 type cliqueEnum struct {
 	g     *Undirected
-	yield func([]int) bool
 	ctx   context.Context
 	steps int
 	err   error // the context's error once observed
@@ -33,38 +32,6 @@ func (e *cliqueEnum) cancelled() bool {
 	return e.err != nil
 }
 
-// recurse is Bron–Kerbosch with Tomita pivoting. It reports false when
-// the enumeration was stopped, either by yield or by cancellation. The
-// base case also covers the empty graph (P and X both empty at the
-// root), whose single maximal clique is the empty set, and honors
-// yield's stop signal there like everywhere else.
-func (e *cliqueEnum) recurse(r []int, p, x Bitset) bool {
-	if e.cancelled() {
-		return false
-	}
-	if p.Empty() && x.Empty() {
-		c := append([]int(nil), r...)
-		sort.Ints(c)
-		return e.yield(c)
-	}
-	pivot := choosePivot(e.g, p, x)
-	candidates := p.AndNot(e.g.Neighbors(pivot))
-	cont := true
-	candidates.ForEach(func(v int) {
-		if !cont {
-			return
-		}
-		nv := e.g.Neighbors(v)
-		if !e.recurse(append(r, v), p.And(nv), x.And(nv)) {
-			cont = false
-			return
-		}
-		p.Clear(v)
-		x.Set(v)
-	})
-	return cont
-}
-
 // MaximalCliques enumerates every maximal clique of the graph, calling
 // yield with the members of each (ascending order). yield returning
 // false stops the enumeration early. The implementation is
@@ -75,27 +42,23 @@ func (e *cliqueEnum) recurse(r []int, p, x Bitset) bool {
 // cliques in the worst case.
 //
 // The paper's NaiveDCSat and OptDCSat both iterate "for each maximal
-// clique in G^fd_T"; this is that iterator.
+// clique in G^fd_T"; this is that iterator, as a leaf-only adapter over
+// MaximalCliquesVisit.
 func MaximalCliques(g *Undirected, yield func(clique []int) bool) {
-	_ = MaximalCliquesCtx(context.Background(), g, yield)
+	_ = MaximalCliquesVisit(context.Background(), g, sortedLeaves(yield))
 }
 
-// MaximalCliquesCtx is MaximalCliques with cooperative cancellation:
-// the context is polled every few recursion nodes, and a cancelled
-// enumeration stops and returns the context's error. A complete
-// enumeration (or one stopped by yield) returns nil.
-func MaximalCliquesCtx(ctx context.Context, g *Undirected, yield func(clique []int) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	n := g.Len()
-	p := NewBitset(n)
-	for i := 0; i < n; i++ {
-		p.Set(i)
-	}
-	e := &cliqueEnum{g: g, yield: yield, ctx: ctx}
-	e.recurse(nil, p, NewBitset(n))
-	return e.err
+// sortedLeaves adapts a yield callback to the visitor contract: tree
+// edges are ignored, and each leaf is copied and sorted before yield
+// sees it.
+type sortedLeaves func(clique []int) bool
+
+func (sortedLeaves) Descend(int) bool { return true }
+func (sortedLeaves) Ascend()          {}
+func (y sortedLeaves) Leaf(r []int) bool {
+	c := append([]int(nil), r...)
+	sort.Ints(c)
+	return y(c)
 }
 
 // choosePivot returns the vertex of P ∪ X with the most neighbors in P.
@@ -122,9 +85,16 @@ type CliqueBranch struct {
 	p, x Bitset
 }
 
-// Size returns |P|, a proxy for the branch subtree's remaining work
-// (schedulers run large branches first).
-func (b CliqueBranch) Size() int { return b.p.Count() }
+// RootBranch returns the whole Bron–Kerbosch tree as one branch: empty
+// R, every vertex in P, empty X.
+func RootBranch(g *Undirected) CliqueBranch {
+	n := g.Len()
+	p := NewBitset(n)
+	for i := 0; i < n; i++ {
+		p.Set(i)
+	}
+	return CliqueBranch{p: p, x: NewBitset(n)}
+}
 
 // expandBranch splits one recursion node into its pivot branches. A
 // node with empty P is terminal: it is itself a maximal clique when X
@@ -160,14 +130,11 @@ func expandBranch(g *Undirected, b CliqueBranch) (children []CliqueBranch, leaf 
 // roots — a complete graph's tree is a single chain — so the split
 // descends as far as needed; if the tree never widens (few maximal
 // cliques, nothing to parallelize) fewer branches come back. The
-// result is deterministic for a given graph.
+// result is deterministic for a given graph, and its order is the
+// order a walk of the whole tree reaches the branches in.
 func CliqueBranches(g *Undirected, min int) []CliqueBranch {
 	n := g.Len()
-	p := NewBitset(n)
-	for i := 0; i < n; i++ {
-		p.Set(i)
-	}
-	branches := []CliqueBranch{{p: p, x: NewBitset(n)}}
+	branches := []CliqueBranch{RootBranch(g)}
 	// Each expansion replaces an interior node with its children; the
 	// cap bounds pathological chains (complete graphs) where expansion
 	// never widens the frontier.
@@ -186,26 +153,13 @@ func CliqueBranches(g *Undirected, min int) []CliqueBranch {
 		if leaf {
 			break // unreachable: leaves have empty P
 		}
-		branches = append(branches[:widest], branches[widest+1:]...)
-		branches = append(branches, children...)
+		// Children take their parent's place, keeping walk order.
+		branches = append(branches[:widest], append(children, branches[widest+1:]...)...)
 		if len(branches) == 0 {
 			break // lone dead subtree: no maximal cliques at all
 		}
 	}
 	return branches
-}
-
-// MaximalCliquesBranch enumerates the maximal cliques of one branch's
-// subtree, with the same yield and cancellation contract as
-// MaximalCliquesCtx. The branch is not consumed; enumerating it again
-// repeats the same cliques.
-func MaximalCliquesBranch(ctx context.Context, g *Undirected, b CliqueBranch, yield func(clique []int) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	e := &cliqueEnum{g: g, yield: yield, ctx: ctx}
-	e.recurse(b.r, b.p.Clone(), b.x.Clone())
-	return e.err
 }
 
 // MaximalCliquesNoPivot is Bron–Kerbosch without pivoting. It exists

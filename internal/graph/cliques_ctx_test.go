@@ -32,29 +32,28 @@ func TestCliqueBranchesPartition(t *testing.T) {
 		}
 		g := randomGraph(r, n, p)
 		want := map[string]bool{}
-		MaximalCliques(g, func(c []int) bool {
+		for _, c := range bruteMaximalCliques(g) {
 			want[cliqueKey(c)] = true
-			return true
-		})
+		}
 		for _, min := range []int{1, 2, 4, 16, 64} {
 			branches := CliqueBranches(g, min)
 			got := map[string]int{}
 			for _, b := range branches {
-				err := MaximalCliquesBranch(context.Background(), g, b, func(c []int) bool {
+				err := MaximalCliquesBranchVisit(context.Background(), g, b, sortedLeaves(func(c []int) bool {
 					got[cliqueKey(c)]++
 					return true
-				})
+				}))
 				if err != nil {
 					t.Fatalf("branch enumeration error: %v", err)
 				}
 			}
 			if len(got) != len(want) {
-				t.Fatalf("n=%d p=%.2f min=%d: %d distinct cliques across %d branches, serial found %d",
+				t.Fatalf("n=%d p=%.2f min=%d: %d distinct cliques across %d branches, brute force found %d",
 					n, p, min, len(got), len(branches), len(want))
 			}
 			for k, cnt := range got {
 				if !want[k] {
-					t.Fatalf("n=%d p=%.2f min=%d: branch clique %s not maximal serially", n, p, min, k)
+					t.Fatalf("n=%d p=%.2f min=%d: branch clique %s not maximal", n, p, min, k)
 				}
 				if cnt != 1 {
 					t.Fatalf("n=%d p=%.2f min=%d: clique %s enumerated %d times", n, p, min, k, cnt)
@@ -82,69 +81,90 @@ func TestCliqueBranchesDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaximalCliquesCtxCancelled: a cancelled context stops the
-// enumeration promptly and surfaces the context's error; yields stop
-// arriving.
+// TestMaximalCliquesCtxCancelled: a cancelled context stops the walk
+// promptly and surfaces the context's error; leaves stop arriving.
+// Whole-tree and branch walks share the poll.
 func TestMaximalCliquesCtxCancelled(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 30, 0.9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := MaximalCliquesCtx(ctx, g, func([]int) bool {
+	count := sortedLeaves(func([]int) bool {
 		calls++
 		return true
 	})
-	if err != context.Canceled {
+	if err := MaximalCliquesVisit(ctx, g, count); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if err := MaximalCliquesBranchVisit(ctx, g, CliqueBranches(g, 4)[0], count); err != context.Canceled {
+		t.Fatalf("branch err = %v, want context.Canceled", err)
+	}
 	if calls != 0 {
-		t.Fatalf("yield called %d times after pre-cancelled context", calls)
+		t.Fatalf("Leaf called %d times after pre-cancelled context", calls)
 	}
 
-	// Cancel mid-enumeration: the error surfaces and yields cease soon
-	// after (within the poll interval).
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	afterCancel := 0
-	cancelled := false
-	err = MaximalCliquesCtx(ctx2, g, func([]int) bool {
-		if cancelled {
-			afterCancel++
+	// Cancel mid-walk: the error surfaces and leaves cease soon after
+	// (within the poll interval).
+	for _, walk := range []func(context.Context, MaximalCliquesVisitor) error{
+		func(ctx context.Context, vis MaximalCliquesVisitor) error { return MaximalCliquesVisit(ctx, g, vis) },
+		func(ctx context.Context, vis MaximalCliquesVisitor) error {
+			return MaximalCliquesBranchVisit(ctx, g, RootBranch(g), vis)
+		},
+	} {
+		ctx2, cancel2 := context.WithCancel(context.Background())
+		afterCancel := 0
+		cancelled := false
+		err := walk(ctx2, sortedLeaves(func([]int) bool {
+			if cancelled {
+				afterCancel++
+			}
+			if !cancelled {
+				cancelled = true
+				cancel2()
+			}
+			return true
+		}))
+		if err != context.Canceled {
+			t.Fatalf("mid-flight err = %v, want context.Canceled", err)
 		}
-		if !cancelled {
-			cancelled = true
-			cancel2()
+		// The poll interval allows a bounded number of leaves to slip
+		// through; it must not run to completion (this graph has
+		// thousands of maximal cliques).
+		if afterCancel > 2*ctxCheckInterval {
+			t.Fatalf("%d cliques visited after cancellation", afterCancel)
 		}
-		return true
-	})
-	if err != context.Canceled {
-		t.Fatalf("mid-flight err = %v, want context.Canceled", err)
-	}
-	// The poll interval allows a bounded number of yields to slip
-	// through; it must not run to completion (this graph has thousands
-	// of maximal cliques).
-	if afterCancel > 2*ctxCheckInterval {
-		t.Fatalf("%d cliques yielded after cancellation", afterCancel)
 	}
 }
 
-// TestMaximalCliquesCtxComplete: an uncancelled context changes
-// nothing — same cliques as the ctx-less form, nil error.
+// TestMaximalCliquesCtxComplete: a live context changes nothing — the
+// walk returns nil and visits the same leaves, in the same order, as a
+// walk under context.Background, and those leaves are exactly the
+// brute-force maximal cliques.
 func TestMaximalCliquesCtxComplete(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(5)), 10, 0.5)
-	var serial, ctxed [][]int
-	MaximalCliques(g, func(c []int) bool {
-		serial = append(serial, append([]int(nil), c...))
-		return true
-	})
-	err := MaximalCliquesCtx(context.Background(), g, func(c []int) bool {
-		ctxed = append(ctxed, append([]int(nil), c...))
-		return true
-	})
+	collect := func(ctx context.Context) ([][]int, error) {
+		var out [][]int
+		err := MaximalCliquesVisit(ctx, g, sortedLeaves(func(c []int) bool {
+			out = append(out, c)
+			return true
+		}))
+		return out, err
+	}
+	background, err := collect(context.Background())
 	if err != nil {
 		t.Fatalf("err = %v", err)
 	}
-	if fmt.Sprint(serial) != fmt.Sprint(ctxed) {
-		t.Fatalf("clique lists differ:\n%v\n%v", serial, ctxed)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	live, err := collect(ctx)
+	if err != nil {
+		t.Fatalf("err = %v", err)
+	}
+	if fmt.Sprint(background) != fmt.Sprint(live) {
+		t.Fatalf("clique lists differ:\n%v\n%v", background, live)
+	}
+	if got, want := canonicalize(live), canonicalize(bruteMaximalCliques(g)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cliques %v, brute force %v", got, want)
 	}
 }
 
@@ -184,10 +204,10 @@ func TestCliqueBranchesDegenerate(t *testing.T) {
 	bs := CliqueBranches(g0, 4)
 	total := 0
 	for _, b := range bs {
-		_ = MaximalCliquesBranch(context.Background(), g0, b, func(c []int) bool {
+		_ = MaximalCliquesBranchVisit(context.Background(), g0, b, sortedLeaves(func(c []int) bool {
 			total++
 			return true
-		})
+		}))
 	}
 	if total != 1 {
 		t.Fatalf("empty graph: %d cliques via branches, want 1", total)
@@ -198,10 +218,10 @@ func TestCliqueBranchesDegenerate(t *testing.T) {
 	bs = CliqueBranches(gc, 8)
 	var got [][]int
 	for _, b := range bs {
-		_ = MaximalCliquesBranch(context.Background(), gc, b, func(c []int) bool {
-			got = append(got, append([]int(nil), c...))
+		_ = MaximalCliquesBranchVisit(context.Background(), gc, b, sortedLeaves(func(c []int) bool {
+			got = append(got, c)
 			return true
-		})
+		}))
 	}
 	if len(got) != 1 || len(got[0]) != 6 {
 		t.Fatalf("complete graph via branches: %v", got)

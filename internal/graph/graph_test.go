@@ -130,19 +130,17 @@ func bruteMaximalCliques(g *Undirected) [][]int {
 		}
 		return true
 	}
-	var cliques []int
-	for mask := 0; mask < 1<<n; mask++ {
-		if isClique(mask) {
-			cliques = append(cliques, mask)
-		}
-	}
 	var maximal [][]int
-	for _, m := range cliques {
+	for m := 0; m < 1<<n; m++ {
+		if !isClique(m) {
+			continue
+		}
+		// Cliques are closed under subsets, so a clique is maximal
+		// exactly when no single outside vertex extends it.
 		isMax := true
-		for _, m2 := range cliques {
-			if m2 != m && m2&m == m {
+		for v := 0; v < n && isMax; v++ {
+			if m&(1<<v) == 0 && isClique(m|1<<v) {
 				isMax = false
-				break
 			}
 		}
 		if isMax {

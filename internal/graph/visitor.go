@@ -7,8 +7,7 @@ import "context"
 // depth-first order:
 //
 //   - Descend(v) fires when the recursion extends the partial clique R
-//     with vertex v — exactly once per tree edge, in the pivot order
-//     the plain enumeration would explore.
+//     with vertex v — exactly once per tree edge, in pivot order.
 //   - Leaf(r) fires at each maximal clique, with r holding the partial
 //     clique in *tree order* (the order of the Descends that built it,
 //     not sorted). r is only valid during the call; copy to retain.
@@ -22,8 +21,9 @@ import "context"
 // runs to completion every Descend that returned true has been matched
 // by exactly one Ascend.
 //
-// This is the contract the incremental world evaluation in
-// internal/core builds on: Descend pushes one transaction into the
+// This is the package's only Bron–Kerbosch contract; MaximalCliques
+// adapts it to a leaf callback. The incremental world evaluation in
+// internal/core builds on it: Descend pushes one transaction into the
 // maximal-world fixpoint, Ascend pops it, and Leaf marks a maximal
 // world whose evaluation has already been paid for edge by edge.
 type MaximalCliquesVisitor interface {
@@ -32,11 +32,12 @@ type MaximalCliquesVisitor interface {
 	Ascend()
 }
 
-// recurseVisit is recurse with the visitor contract: identical pivot
-// choice and expansion order, but the callback sees every tree edge,
-// not just the leaves. It reports false when the walk was stopped,
-// either by the visitor or by cancellation.
-func (e *cliqueEnum) recurseVisit(vis MaximalCliquesVisitor, r []int, p, x Bitset) bool {
+// walk is Bron–Kerbosch with Tomita pivoting under the visitor
+// contract — the package's one recursion. It reports false when the
+// walk was stopped, either by the visitor or by cancellation. The base
+// case also covers the empty graph (P and X both empty at the root),
+// whose single maximal clique is the empty set. p and x are consumed.
+func (e *cliqueEnum) walk(vis MaximalCliquesVisitor, r []int, p, x Bitset) bool {
 	if e.cancelled() {
 		return false
 	}
@@ -55,7 +56,7 @@ func (e *cliqueEnum) recurseVisit(vis MaximalCliquesVisitor, r []int, p, x Bitse
 			return
 		}
 		nv := e.g.Neighbors(v)
-		if !e.recurseVisit(vis, append(r, v), p.And(nv), x.And(nv)) {
+		if !e.walk(vis, append(r, v), p.And(nv), x.And(nv)) {
 			cont = false
 			return
 		}
@@ -67,25 +68,17 @@ func (e *cliqueEnum) recurseVisit(vis MaximalCliquesVisitor, r []int, p, x Bitse
 }
 
 // MaximalCliquesVisit walks the pivoted Bron–Kerbosch tree of the
-// graph under the visitor contract, with the same cooperative
-// cancellation as MaximalCliquesCtx: the context is polled every few
-// recursion nodes, and a cancelled walk stops (without unwinding) and
-// returns the context's error. A complete walk, or one stopped by the
-// visitor, returns nil.
-//
-// The leaves visited are exactly the maximal cliques MaximalCliquesCtx
-// would yield, in the same order.
+// graph under the visitor contract, with cooperative cancellation: the
+// context is polled every few recursion nodes, and a cancelled walk
+// stops (without unwinding) and returns the context's error. A
+// complete walk, or one stopped by the visitor, returns nil.
 func MaximalCliquesVisit(ctx context.Context, g *Undirected, vis MaximalCliquesVisitor) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	n := g.Len()
-	p := NewBitset(n)
-	for i := 0; i < n; i++ {
-		p.Set(i)
-	}
+	root := RootBranch(g)
 	e := &cliqueEnum{g: g, ctx: ctx}
-	e.recurseVisit(vis, nil, p, NewBitset(n))
+	e.walk(vis, nil, root.p, root.x)
 	return e.err
 }
 
@@ -107,7 +100,7 @@ func MaximalCliquesBranchVisit(ctx context.Context, g *Undirected, b CliqueBranc
 		}
 	}
 	e := &cliqueEnum{g: g, ctx: ctx}
-	if e.recurseVisit(vis, b.r, b.p.Clone(), b.x.Clone()) {
+	if e.walk(vis, b.r, b.p.Clone(), b.x.Clone()) {
 		for range b.r {
 			vis.Ascend()
 		}

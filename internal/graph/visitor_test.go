@@ -47,18 +47,17 @@ func (v *stackVisitor) Leaf(r []int) bool {
 }
 
 // TestVisitLeavesMatchMaximalCliques: the visitor walk's leaves are
-// exactly the maximal cliques the flat enumeration yields, and a
-// completed walk leaves the Descend/Ascend stack balanced.
+// exactly the brute-force maximal cliques, and a completed walk leaves
+// the Descend/Ascend stack balanced.
 func TestVisitLeavesMatchMaximalCliques(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 80; trial++ {
 		n := r.Intn(14) // includes the empty graph
 		g := randomGraph(r, n, []float64{0.1, 0.5, 0.9}[trial%3])
 		want := map[string]int{}
-		MaximalCliques(g, func(c []int) bool {
+		for _, c := range bruteMaximalCliques(g) {
 			want[cliqueKey(c)]++
-			return true
-		})
+		}
 		vis := &stackVisitor{t: t, leaves: map[string]int{}}
 		if err := MaximalCliquesVisit(context.Background(), g, vis); err != nil {
 			t.Fatal(err)
@@ -82,10 +81,9 @@ func TestVisitBranchesPartition(t *testing.T) {
 		n := 1 + r.Intn(13)
 		g := randomGraph(r, n, []float64{0.2, 0.6, 0.95}[trial%3])
 		want := map[string]int{}
-		MaximalCliques(g, func(c []int) bool {
+		for _, c := range bruteMaximalCliques(g) {
 			want[cliqueKey(c)]++
-			return true
-		})
+		}
 		for _, min := range []int{2, 8, 32} {
 			got := map[string]int{}
 			for _, b := range CliqueBranches(g, min) {
@@ -161,7 +159,7 @@ func TestVisitDescendStop(t *testing.T) {
 }
 
 // TestVisitCancellation: a cancelled context stops the walk and
-// surfaces the context's error, like MaximalCliquesCtx.
+// surfaces the context's error.
 func TestVisitCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := randomGraph(r, 18, 0.9)
