@@ -449,3 +449,67 @@ func TestOpsSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentChecksAndDrops races witness-returning checks against
+// drops that shift the pending slots. The two victim payments are the
+// only violating pair and sit behind 60 unrelated fillers, so every
+// check must answer violated with exactly their ids — a witness mapped
+// from slots after a drop would name fillers or index past the pending
+// set (a handler panic, seen by the client as a failed request).
+func TestConcurrentChecksAndDrops(t *testing.T) {
+	_, c := bootServer(t, Config{})
+	ctx := context.Background()
+	const fillers = 60
+	req := doubleSpendTenant("race")
+	var pending []api.TxSpec
+	for i := 0; i < fillers; i++ {
+		pending = append(pending, api.TxSpec{Name: fmt.Sprintf("filler%d", i), Inserts: []api.Insert{
+			{Rel: "TxOut", Rows: []api.Row{{int64(100 + i), int64(1), fmt.Sprintf("Filler%dPk", i), int64(1)}}}}})
+	}
+	req.Pending = append(pending, req.Pending...)
+	reg, err := c.Register(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Deregister(ctx, "race") })
+	if len(reg.PendingIDs) != fillers+2 {
+		t.Fatalf("want %d pending ids, got %d", fillers+2, len(reg.PendingIDs))
+	}
+	victims := fmt.Sprint(reg.PendingIDs[fillers:])
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				resp, err := c.Check(ctx, "race", &api.CheckRequest{Name: "hot"})
+				if err != nil {
+					errs <- fmt.Errorf("check: %w", err)
+					return
+				}
+				if resp.Satisfied || fmt.Sprint(resp.Witness) != victims {
+					errs <- fmt.Errorf("check: satisfied=%v witness %v, want violated with %s",
+						resp.Satisfied, resp.Witness, victims)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, id := range reg.PendingIDs[:fillers] {
+			if _, err := c.Deltas(ctx, "race", &api.DeltaRequest{Ops: []api.DeltaOp{{Op: api.OpDrop, ID: id}}}); err != nil {
+				errs <- fmt.Errorf("drop %d: %w", id, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -141,6 +141,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		budgetUnits: req.BudgetUnitsPerSec,
 		budgetBurst: req.BudgetBurst,
 	}
+	// Read what the response reports before the tenant is published:
+	// once it is in the table, deltas can reach its monitor.
+	pendingIDs, stateTuples := tn.mon.PendingIDs(), db.State.Size()
 	s.mu.Lock()
 	if _, dup := s.tenants[req.Tenant]; dup {
 		s.mu.Unlock()
@@ -161,13 +164,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.DefaultJournal.Append(obs.EvTenantRegister, 0, "",
 		obs.F("tenant", req.Tenant),
-		obs.F("pending", tn.mon.PendingCount()),
+		obs.F("pending", len(pendingIDs)),
 		obs.F("budget_units_per_sec", req.BudgetUnitsPerSec))
 
-	slots := make([]int, tn.mon.PendingCount())
-	for i := range slots {
-		slots[i] = i
-	}
 	names := make([]string, 0, len(queries))
 	for name := range queries {
 		names = append(names, name)
@@ -175,11 +174,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	writeJSON(w, &api.RegisterResponse{
 		Tenant:      req.Tenant,
-		StateTuples: db.State.Size(),
-		Pending:     tn.mon.PendingCount(),
+		StateTuples: stateTuples,
+		Pending:     len(pendingIDs),
 		FDs:         len(db.Constraints.FDs),
 		INDs:        len(db.Constraints.INDs),
-		PendingIDs:  toInt64s(tn.mon.IDsForSlots(slots)),
+		PendingIDs:  toInt64s(pendingIDs),
 		Queries:     names,
 		Plant:       plant,
 	})
@@ -474,8 +473,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Satisfied = res.Satisfied
-	if len(res.Witness) > 0 {
-		resp.Witness = toInt64s(tn.mon.IDsForSlots(res.Witness))
+	if len(res.WitnessIDs) > 0 {
+		resp.Witness = toInt64s(res.WitnessIDs)
 	}
 	resp.Stats = wireStats(&res.Stats)
 	mChecksServed.Inc()

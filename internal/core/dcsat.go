@@ -109,7 +109,8 @@ type Options struct {
 	DisableLiveFilter bool
 	// DisableIncrementalWorlds makes the Bron–Kerbosch walk evaluate
 	// every maximal clique's world from scratch at its leaf instead of
-	// extending one world incrementally along the recursion, at any
+	// extending one world incrementally along the recursion (delta
+	// join orders, and an accumulator for monotone aggregates), at any
 	// Workers. Ablation and differential testing only.
 	DisableIncrementalWorlds bool
 	// Workers > 1 runs the clique search's work queue on that many
@@ -232,7 +233,12 @@ type Result struct {
 	// the query. Empty means the current state alone violates the
 	// denial constraint.
 	Witness []int
-	Stats   Stats
+	// WitnessIDs is Witness as the Monitor's stable pending ids,
+	// sorted. Only Monitor.Check sets it, mapping the slots under the
+	// check's own read lock, so a concurrent mutation cannot shift the
+	// slots in between.
+	WitnessIDs []int
+	Stats      Stats
 }
 
 // fdGraphFn builds the fd-transaction graph of one component (global
@@ -599,13 +605,15 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 // walks. The incremental mode (beginIncremental plus cliqueSearch's
 // own visitor methods) maintains ONE world along the recursion: each
 // Descend pushes a transaction onto a possible.WorldStack and
-// re-probes only the plan steps that can touch the delta, each Ascend
-// pops the undo log, and leaves cost nothing — their worlds were
-// already evaluated edge by edge on the way down. The from-scratch
-// mode (fromScratch) is a Leaf evaluator that materializes and
-// evaluates each maximal world anew; it remains the path for aggregate
-// or negated queries (no delta evaluation), checks without a compiled
-// plan, and the DisableIncrementalWorlds ablation.
+// enumerates only the assignments touching the delta, through the
+// plan's delta-first join orders; an aggregate folds them into an
+// accumulator that each Ascend restores along with the world. Leaves
+// cost nothing — their worlds were already evaluated edge by edge on
+// the way down. It serves every monotone query (Plan.SupportsDelta),
+// aggregates included. The from-scratch mode (fromScratch) is a Leaf
+// evaluator that materializes and evaluates each maximal world anew;
+// it serves only checks without a compiled plan and the
+// DisableIncrementalWorlds ablation.
 //
 // Not safe for concurrent use — parallel searches give each unit its
 // own instance (and each worker its own Stats, merged afterwards).
@@ -634,10 +642,11 @@ type cliqueSearch struct {
 	subset []int
 
 	// Incremental-mode state: the world stack the recursion pushes and
-	// pops, the plan's relation list, and the per-edge floor buffer
-	// (overlay extra counts captured just before a Push, consumed
-	// immediately by EvalDelta).
+	// pops, the aggregate accumulator that follows it, the plan's
+	// relation list, and the per-edge floor buffer (overlay extra counts
+	// captured just before a Push, consumed immediately by EvalDelta).
 	ws       possible.WorldStack
+	acc      query.Acc
 	relNames []string
 	floorBuf []int
 }
@@ -748,10 +757,10 @@ func (s *cliqueSearch) markHit(included []int) {
 
 // beginIncremental establishes the incremental walk's root: the world
 // of the component's universal members, materialized once and fully
-// evaluated. It reports whether the tree walk should proceed — false
-// on a root hit (every extension of a violating world also violates,
-// the query being monotone in the view), an evaluation error, or a
-// cancelled context.
+// evaluated (an aggregate folded in full into the accumulator). It
+// reports whether the tree walk should proceed — false on a root hit
+// (every extension of a violating world also violates, the query being
+// monotone in the view), an evaluation error, or a cancelled context.
 func (s *cliqueSearch) beginIncremental() bool {
 	if err := s.ctx.Err(); err != nil {
 		s.err = err
@@ -764,7 +773,7 @@ func (s *cliqueSearch) beginIncremental() bool {
 	evalStart := time.Now()
 	world, included := s.ws.Rebase(s.d, s.base)
 	s.stats.WorldsRebuilt++
-	hit, err := s.plan.Eval(world, s.sc)
+	hit, err := s.plan.EvalBase(world, s.sc, &s.acc)
 	s.evalDur += time.Since(evalStart)
 	switch {
 	case err != nil:
@@ -779,10 +788,11 @@ func (s *cliqueSearch) beginIncremental() bool {
 
 // Descend pushes one transaction onto the world stack and delta-probes
 // the plan: only assignments touching a tuple the push added are
-// enumerated, sound because every ancestor world on the path — root
-// included — is known hit-free. A hit here is a valid violating world
-// (the stack's included set is exactly a reachable transaction set),
-// so the walk stops without ever reaching a leaf.
+// enumerated (an aggregate folds just those), sound because every
+// ancestor world on the path — root included — is known hit-free. A
+// hit here is a valid violating world (the stack's included set is
+// exactly a reachable transaction set), so the walk stops without ever
+// reaching a leaf.
 func (s *cliqueSearch) Descend(v int) bool {
 	if err := s.ctx.Err(); err != nil {
 		s.err = err
@@ -797,7 +807,7 @@ func (s *cliqueSearch) Descend(v int) bool {
 	world, _ := s.ws.Push(s.comp[v])
 	s.stats.WorldsIncremental++
 	hReuseDepth.Observe(int64(s.ws.Depth()))
-	hit, err := s.plan.EvalDelta(world, s.sc, s.floorBuf)
+	hit, err := s.plan.EvalDelta(world, s.sc, s.floorBuf, &s.acc)
 	s.evalDur += time.Since(evalStart)
 	switch {
 	case err != nil:
@@ -810,8 +820,12 @@ func (s *cliqueSearch) Descend(v int) bool {
 	return true
 }
 
-// Ascend pops the world stack — O(tuples the matching Descend added).
-func (s *cliqueSearch) Ascend() { s.ws.Pop() }
+// Ascend pops the world stack and the accumulator frame the matching
+// Descend opened — O(tuples and cntd keys that Descend added).
+func (s *cliqueSearch) Ascend() {
+	s.ws.Pop()
+	s.acc.Pop()
+}
 
 // Leaf counts one maximal clique. Its world needs no evaluation: it
 // was already probed edge by edge on the way down, so reaching a leaf

@@ -22,14 +22,26 @@ import (
 // from-scratch path, the walk-level oracle against GetMaximalScratch
 // on real fd graphs, and a fuzz target over both.
 
-// incrementalQueries are monotone connected queries the incremental
-// path accepts (SupportsDelta); they mirror the differential suite's
-// non-aggregate entries.
+// incrementalQueries are monotone queries the incremental path
+// accepts (SupportsDelta): the differential suite's connected
+// conjunctive entries, the contention benchmark's two-parties
+// self-join, and count/cntd/sum/max each with > and >= (cntd over
+// owners that repeat across inputs).
 var incrementalQueries = []string{
 	"q() :- TxOut(t, s, 'U0Pk', a)",
 	"q() :- TxOut(t, s, 'U3Pk', a)",
 	"q() :- TxIn(pt, ps, 'U1Pk', a, nt, sig), TxOut(nt, s2, pk2, a2)",
 	"q() :- TxOut(t1, s1, 'U2Pk', a1), TxIn(t1, s1, 'U2Pk', a1, t2, sg), TxOut(t2, s2, pk, a2)",
+	"q() :- TxIn(t, s, pk, a, n1, g1), TxOut(n1, o1, p1, b1), " +
+		"TxIn(t, s, pk, a, n2, g2), TxOut(n2, o2, p2, b2), n1 != n2, p1 != p2",
+	"q(count()) > 1 :- TxIn(pt, ps, pk, a, nt, sig)",
+	"q(count()) >= 2 :- TxIn(pt, ps, pk, a, nt, sig), TxOut(nt, s, pk2, a2)",
+	"q(cntd(pk)) > 3 :- TxOut(t, s, pk, a)",
+	"q(cntd(pk)) >= 2 :- TxIn(pt, ps, pk, a, nt, sig)",
+	"q(sum(a)) > 2 :- TxIn(pt, ps, pk, a, nt, sig)",
+	"q(sum(a)) >= 2 :- TxIn(pt, ps, pk, a, nt, sig), TxOut(nt, s, 'U1Pk', a2)",
+	"q(max(nt)) > 4 :- TxIn(pt, ps, pk, a, nt, sig)",
+	"q(max(t)) >= 3 :- TxOut(t, s, 'U3Pk', a)",
 }
 
 // TestIncrementalWorldsDifferential is the incremental-vs-from-scratch

@@ -791,7 +791,11 @@ func (m *Monitor) Check(ctx context.Context, q *query.Query, opts Options) (*Res
 			}
 		}
 	}
-	return checkContext(ctx, snapshot, q, opts, env)
+	res, err := checkContext(ctx, snapshot, q, opts, env)
+	if res != nil && len(res.Witness) > 0 {
+		res.WitnessIDs = m.idsForSlotsLocked(res.Witness)
+	}
+	return res, err
 }
 
 // CacheStats snapshots the incremental verdict cache's counters. The
@@ -849,11 +853,27 @@ func (m *Monitor) seededComponents(ctx context.Context, subset []int, q *query.Q
 	return indQComponentsSeeded(ctx, m.db, subset, q, groups)
 }
 
-// Witnesses returned by Monitor.Check are slots in the snapshot; expose
-// the stable ids for a caller holding the same lock epoch.
+// IDsForSlots maps pending slots to stable ids, sorted. Slots shift
+// under DropPending and Commit, so the answer is only meaningful if no
+// mutation ran since the slots were read; for a check's witness use
+// Result.WitnessIDs, which Monitor.Check maps under its own lock.
 func (m *Monitor) IDsForSlots(slots []int) []int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.idsForSlotsLocked(slots)
+}
+
+// PendingIDs returns the stable ids of every pending transaction,
+// sorted, read under one lock.
+func (m *Monitor) PendingIDs() []int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := append([]int(nil), m.ids...)
+	sort.Ints(out)
+	return out
+}
+
+func (m *Monitor) idsForSlotsLocked(slots []int) []int {
 	out := make([]int, len(slots))
 	for i, s := range slots {
 		out[i] = m.ids[s]

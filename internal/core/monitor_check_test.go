@@ -215,3 +215,32 @@ func TestMonitorConcurrentOps(t *testing.T) {
 		t.Fatalf("final check: %v", err)
 	}
 }
+
+// TestMonitorCheckCompilesOnce: the plan cache is keyed by the
+// simplified query's text and the schema set, so repeated checks of one
+// constraint compile it once per tenant — Simplify's fresh *Query per
+// check must not miss — and two tenants with identical constraint text
+// over different schemas keep one plan each instead of evicting each
+// other.
+func TestMonitorCheckCompilesOnce(t *testing.T) {
+	// A constraint text no other test compiles, so earlier cache
+	// entries cannot answer it. The precheck hits (the paper database
+	// has U2Pk outputs), so the clique search runs as well.
+	q := query.MustParse("q() :- TxOut(t, s, 'U2Pk', a), TxIn(t, s, 'U2Pk', a, nt, sig), a >= 4")
+	tenants := []*Monitor{
+		NewMonitor(fixture.PaperDB(), WithTenant("a")),
+		NewMonitor(fixture.PaperDB(), WithTenant("b")),
+	}
+	misses := func() int64 { return obs.Default.Snapshot().Counters[obs.MetricQueryPlanCacheMiss] }
+	before := misses()
+	for i := 0; i < 5; i++ {
+		for _, mon := range tenants {
+			if _, err := mon.Check(context.Background(), q, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := misses() - before; got != int64(len(tenants)) {
+		t.Errorf("%d checks over %d tenants compiled %d plans, want one per tenant", 5*len(tenants), len(tenants), got)
+	}
+}

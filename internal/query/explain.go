@@ -12,6 +12,8 @@ import (
 // each step binds through an index lookup versus a full scan, where
 // each comparison and negated atom was pushed down (the earliest step
 // at which its variables are bound), and the query's static properties.
+// For a monotone query it also lists the delta-first join order of each
+// delta position that incremental world evaluation (EvalDelta) runs.
 // Intended for debugging slow denial constraints and for teaching what
 // the evaluator does.
 func Explain(q *Query, v relation.View) (string, error) {
@@ -35,13 +37,13 @@ func Explain(q *Query, v relation.View) (string, error) {
 	for i := range p.preNegs {
 		fmt.Fprintf(&b, "first: check %s absent (ground; tested once per evaluation)\n", p.preNegs[i].src)
 	}
-	for i := range p.steps {
-		st := &p.steps[i]
+	for i := range p.main.steps {
+		st := &p.main.steps[i]
 		sc := v.Schema(st.rel)
 		var lookupCols, freeVars []string
 		for j := range st.key {
 			kp := &st.key[j]
-			lookupCols = append(lookupCols, fmt.Sprintf("%s=%s", sc.Attrs[kp.col].Name, kp.src))
+			lookupCols = append(lookupCols, fmt.Sprintf("%s=%s", sc.Attrs[kp.col].Name, st.src.Args[kp.col]))
 		}
 		for _, out := range st.outSlots {
 			freeVars = append(freeVars, p.slotNames[out.slot])
@@ -60,7 +62,7 @@ func Explain(q *Query, v relation.View) (string, error) {
 				sc.Attrs[eq[0]].Name, sc.Attrs[eq[1]].Name)
 		}
 		for j := range st.cmps {
-			fmt.Fprintf(&b, "  then: check %s (pushed down to step %d)\n", st.cmps[j].src, i+1)
+			fmt.Fprintf(&b, "  then: check %s (pushed down to step %d)\n", *st.cmps[j].src, i+1)
 		}
 		for j := range st.negs {
 			fmt.Fprintf(&b, "  then: check %s absent (pushed down to step %d)\n", st.negs[j].src, i+1)
@@ -68,6 +70,15 @@ func Explain(q *Query, v relation.View) (string, error) {
 	}
 	for _, c := range p.foldedCmps {
 		fmt.Fprintf(&b, "folded: %s is constant and true\n", c)
+	}
+	if len(p.deltas) > 0 {
+		b.WriteString("delta orders (incremental worlds: a pass per atom, over the assignments whose first new tuple is in that atom):\n")
+		for i := range p.deltas {
+			o := &p.deltas[i]
+			fmt.Fprintf(&b, "  delta %d from %s: ", i+1, o.steps[0].src)
+			o.summarize(&b)
+			b.WriteByte('\n')
+		}
 	}
 	if q.Agg != nil {
 		fmt.Fprintf(&b, "fold: %s over all assignments", q.Agg)

@@ -72,3 +72,33 @@ func TestExplainErrors(t *testing.T) {
 		t.Error("invalid query accepted")
 	}
 }
+
+// TestExplainDeltaOrders: a monotone query lists one delta-first order
+// per positive atom — each starting at its atom's new tuples, earlier
+// atoms windowed to the old world — while a non-monotone query, which
+// EvalDelta refuses, lists none.
+func TestExplainDeltaOrders(t *testing.T) {
+	v := fixtureView(t)
+	q := MustParse("q() :- TxIn(t, s, pk, a, n1, g1), TxIn(t, s, pk, a, n2, g2), n1 != n2")
+	plan, err := Explain(q, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"delta orders",
+		"delta 1 from TxIn(t, s, pk, a, n1, g1): TxIn[scan]new>TxIn[4]+1c\n",
+		"delta 2 from TxIn(t, s, pk, a, n2, g2): TxIn[scan]new>TxIn[4]old+1c\n",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("plan missing %q:\n%s", want, plan)
+		}
+	}
+	agg := MustParse("q(sum(a)) > 5 :- TxOut(t, s, pk, a)")
+	if plan, err := Explain(agg, v); err != nil || !strings.Contains(plan, "delta 1 from TxOut(t, s, pk, a): TxOut[scan]new\n") {
+		t.Errorf("monotone aggregate: missing its delta order (err %v):\n%s", err, plan)
+	}
+	neg := MustParse("q() :- TxOut(t, s, pk, a), !Trusted(pk)")
+	if plan, err := Explain(neg, v); err != nil || strings.Contains(plan, "delta") {
+		t.Errorf("non-monotone query lists delta orders (err %v):\n%s", err, plan)
+	}
+}

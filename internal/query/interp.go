@@ -93,7 +93,7 @@ type evaluator struct {
 
 func newEvaluator(q *Query, v relation.View) *evaluator {
 	ev := &evaluator{q: q, v: v, pos: q.Positives(), binding: make(map[string]value.Value)}
-	ev.order = greedyOrder(ev.pos, v)
+	ev.order = greedyOrder(ev.pos, v, -1)
 	return ev
 }
 

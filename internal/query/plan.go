@@ -35,7 +35,6 @@ type keyPart struct {
 	slot int         // -1 for constants
 	cval value.Value // normalized constant, when slot == -1
 	kind value.Kind  // column kind, for runtime slot-value normalization
-	src  Term        // source term, for Explain
 }
 
 // slotCol records that a step binds tuple column col into slot.
@@ -47,7 +46,7 @@ type compiledCmp struct {
 	op             CmpOp
 	lSlot, rSlot   int // -1 when the side is a constant
 	lConst, rConst value.Value
-	src            Comparison
+	src            *Comparison // for Explain
 }
 
 // compiledNeg is a negated atom whose full-tuple key is assembled from
@@ -68,22 +67,35 @@ type planStep struct {
 	cmps      []compiledCmp
 	negs      []compiledNeg
 	src       Atom
+	pos       int // the atom's index among the query's positive atoms
+}
+
+// joinOrder is one compiled order over the positive atoms: the plan's
+// main greedy order, or a delta-first order that EvalDelta runs for
+// one delta position.
+type joinOrder struct {
+	steps  []planStep
+	relIdx []int // per step: index of its relation in Plan.relNames
+	// Delta-first orders only: per step, the window its pass probes —
+	// atoms before the order's first atom (in body order) below the
+	// floor, the first atom from the floor, later atoms the full view.
+	modes []uint8
 }
 
 // Plan is a compiled query. Plans are immutable after Compile and safe
 // for concurrent use; per-evaluation state lives in a Scratch.
 type Plan struct {
-	q          *Query
-	relNames   []string // distinct relations referenced, any order
-	schemas    []*relation.Schema
-	slotNames  []string // slot -> variable name
-	slotOf     map[string]int
-	steps      []planStep
-	stepRelIdx []int         // per step: index of its relation in relNames
-	preNegs    []compiledNeg // ground negations, tested once per run
-	headSlots  []int         // HeadVars -> slots (-1 if unbound)
-	aggSlots   []int         // Agg.Vars -> slots (-1 if unbound)
-	deltaOK    bool          // EvalDelta applies: no aggregate, no negation
+	q         *Query
+	relNames  []string // distinct relations referenced, any order
+	schemas   []*relation.Schema
+	slotNames []string // slot -> variable name
+	slotOf    map[string]int
+	main      joinOrder
+	deltas    []joinOrder   // per positive atom, when deltaOK: EvalDelta's orders
+	preNegs   []compiledNeg // ground negations, tested once per run
+	headSlots []int         // HeadVars -> slots (-1 if unbound)
+	aggSlots  []int         // Agg.Vars -> slots (-1 if unbound)
+	deltaOK   bool          // EvalDelta applies: the query is monotone
 
 	// unsatCmp: a comparison references a variable no positive atom
 	// binds, or a constant comparison is false — no assignment can ever
@@ -102,12 +114,25 @@ type Plan struct {
 // the most bound argument positions (constants plus variables bound by
 // earlier atoms); ties broken by smaller relation cardinality. Atoms
 // with no bound positions come as late as possible, so scans are
-// replaced by indexed lookups wherever the join graph allows.
-func greedyOrder(pos []Atom, v relation.View) []int {
+// replaced by indexed lookups wherever the join graph allows. A first
+// atom >= 0 is forced to the front, its variables bound for the rest.
+func greedyOrder(pos []Atom, v relation.View, first int) []int {
 	n := len(pos)
 	order := make([]int, 0, n)
 	used := make([]bool, n)
 	boundVars := make(map[string]bool)
+	take := func(i int) {
+		used[i] = true
+		order = append(order, i)
+		for _, t := range pos[i].Args {
+			if t.IsVar() {
+				boundVars[t.Var] = true
+			}
+		}
+	}
+	if first >= 0 {
+		take(first)
+	}
 	for len(order) < n {
 		best, bestScore, bestCount := -1, -1, 0
 		for i, a := range pos {
@@ -125,19 +150,22 @@ func greedyOrder(pos []Atom, v relation.View) []int {
 				best, bestScore, bestCount = i, score, count
 			}
 		}
-		used[best] = true
-		order = append(order, best)
-		for _, t := range pos[best].Args {
-			if t.IsVar() {
-				boundVars[t.Var] = true
-			}
-		}
+		take(best)
 	}
 	return order
 }
 
+// placedCond is a comparison or negated atom awaiting push-down: it is
+// checked at the earliest step of an order at which all of vars are
+// bound.
+type placedCond struct {
+	vars []string
+	cmp  *compiledCmp
+	neg  *compiledNeg
+}
+
 // Compile builds a Plan for the query against the view's schemas. The
-// join order additionally consults the view's current cardinalities,
+// join orders additionally consult the view's current cardinalities,
 // which affects performance, never results: a plan compiled against one
 // view is correct for any view with the same schemas.
 func Compile(q *Query, v relation.View) (*Plan, error) {
@@ -154,54 +182,21 @@ func Compile(q *Query, v relation.View) (*Plan, error) {
 			p.schemas = append(p.schemas, v.Schema(a.Rel))
 		}
 	}
-	p.deltaOK = q.Agg == nil && len(q.Negatives()) == 0
-	slot := func(name string) int {
-		s, ok := p.slotOf[name]
-		if !ok {
-			s = len(p.slotNames)
-			p.slotOf[name] = s
-			p.slotNames = append(p.slotNames, name)
-		}
-		return s
-	}
+	p.deltaOK = q.IsMonotonic()
 
 	pos := q.Positives()
-	order := greedyOrder(pos, v)
-	bindDepth := make(map[string]int) // var -> step depth that first binds it
-	for depth, idx := range order {
-		a := pos[idx]
-		sc := v.Schema(a.Rel)
-		st := planStep{rel: a.Rel, src: a}
-		firstFree := make(map[string]int) // var -> first free position in this atom
-		for i, t := range a.Args {
-			kind := sc.Attrs[i].Kind
-			if !t.IsVar() {
-				st.boundCols = append(st.boundCols, i)
-				st.key = append(st.key, keyPart{col: i, slot: -1, cval: sc.NormalizeValue(t.Const, i), kind: kind, src: t})
-				continue
-			}
-			if d, ok := bindDepth[t.Var]; ok && d < depth {
-				st.boundCols = append(st.boundCols, i)
-				st.key = append(st.key, keyPart{col: i, slot: slot(t.Var), kind: kind, src: t})
-				continue
-			}
-			if f, dup := firstFree[t.Var]; dup {
-				st.eqChecks = append(st.eqChecks, [2]int{f, i})
-				continue
-			}
-			firstFree[t.Var] = i
-			bindDepth[t.Var] = depth
-			st.outSlots = append(st.outSlots, slotCol{col: i, slot: slot(t.Var)})
-		}
-		p.steps = append(p.steps, st)
-		p.stepRelIdx = append(p.stepRelIdx, relIdx[a.Rel])
-	}
+	var bindDepth map[string]int
+	p.main, bindDepth = p.compileOrder(pos, greedyOrder(pos, v, -1), v, relIdx)
 
-	// Push each comparison down to the earliest depth where both sides
-	// are bound; fold constant comparisons now.
-	for _, c := range q.Comparisons {
-		cc := compiledCmp{op: c.Op, lSlot: -1, rSlot: -1, src: c}
-		d, unbound := -1, false
+	// Classify comparisons once: constant ones fold now, ones over a
+	// variable no positive atom binds make the plan unsatisfiable, the
+	// rest are pushed down into every order.
+	var conds []placedCond
+	for i := range q.Comparisons {
+		c := &q.Comparisons[i]
+		cc := &compiledCmp{op: c.Op, lSlot: -1, rSlot: -1, src: c}
+		var vars []string
+		unbound := false
 		for _, side := range []struct {
 			t  Term
 			s  *int
@@ -211,15 +206,12 @@ func Compile(q *Query, v relation.View) (*Plan, error) {
 				*side.cv = side.t.Const
 				continue
 			}
-			bd, ok := bindDepth[side.t.Var]
-			if !ok {
+			if _, ok := bindDepth[side.t.Var]; !ok {
 				unbound = true
 				continue
 			}
 			*side.s = p.slotOf[side.t.Var]
-			if bd > d {
-				d = bd
-			}
+			vars = append(vars, side.t.Var)
 		}
 		switch {
 		case unbound:
@@ -228,39 +220,37 @@ func Compile(q *Query, v relation.View) (*Plan, error) {
 			// satisfies the body.
 			p.unsatCmp = true
 			p.deadConds = append(p.deadConds, fmt.Sprintf("%s references an unbound variable", c))
-		case d < 0:
+		case len(vars) == 0:
 			if cc.op.Eval(cc.lConst.Compare(cc.rConst)) {
-				p.foldedCmps = append(p.foldedCmps, c)
+				p.foldedCmps = append(p.foldedCmps, *c)
 			} else {
 				p.unsatCmp = true
 				p.deadConds = append(p.deadConds, fmt.Sprintf("%s is constant and false", c))
 			}
 		default:
-			p.steps[d].cmps = append(p.steps[d].cmps, cc)
+			conds = append(conds, placedCond{vars: vars, cmp: cc})
 		}
 	}
 
-	// Push each negated atom down likewise. A constant that cannot be
-	// normalized to its column kind can never occur in a stored tuple,
-	// so the negation always holds and is dropped. Ground negations
+	// Negated atoms likewise. A constant that cannot be normalized to
+	// its column kind can never occur in a stored tuple, so the
+	// negation always holds and is dropped. Ground negations
 	// (view-dependent, so not foldable at compile time) become per-run
 	// "pre" checks.
 	for _, a := range q.Negatives() {
 		sc := v.Schema(a.Rel)
-		cn := compiledNeg{rel: a.Rel, src: a}
-		d, unbound, dropped := -1, false, false
+		cn := &compiledNeg{rel: a.Rel, src: a}
+		var vars []string
+		unbound, dropped := false, false
 		for i, t := range a.Args {
 			kind := sc.Attrs[i].Kind
 			if t.IsVar() {
-				bd, ok := bindDepth[t.Var]
-				if !ok {
+				if _, ok := bindDepth[t.Var]; !ok {
 					unbound = true
 					continue
 				}
-				cn.parts = append(cn.parts, keyPart{col: i, slot: p.slotOf[t.Var], kind: kind, src: t})
-				if bd > d {
-					d = bd
-				}
+				cn.parts = append(cn.parts, keyPart{col: i, slot: p.slotOf[t.Var], kind: kind})
+				vars = append(vars, t.Var)
 				continue
 			}
 			nc, ok := value.Normalize(t.Const, kind)
@@ -268,7 +258,7 @@ func Compile(q *Query, v relation.View) (*Plan, error) {
 				dropped = true
 				continue
 			}
-			cn.parts = append(cn.parts, keyPart{col: i, slot: -1, cval: nc, kind: kind, src: t})
+			cn.parts = append(cn.parts, keyPart{col: i, slot: -1, cval: nc, kind: kind})
 		}
 		switch {
 		case unbound:
@@ -276,10 +266,31 @@ func Compile(q *Query, v relation.View) (*Plan, error) {
 			p.deadConds = append(p.deadConds, fmt.Sprintf("%s references an unbound variable", a))
 		case dropped:
 			p.droppedNegs = append(p.droppedNegs, a)
-		case d < 0:
-			p.preNegs = append(p.preNegs, cn)
+		case len(vars) == 0:
+			p.preNegs = append(p.preNegs, *cn)
 		default:
-			p.steps[d].negs = append(p.steps[d].negs, cn)
+			conds = append(conds, placedCond{vars: vars, neg: cn})
+		}
+	}
+	place(&p.main, conds, bindDepth)
+
+	// One delta-first order per positive atom: EvalDelta's pass for
+	// delta position d starts from atom d's new tuples, so its cost
+	// follows the delta instead of scanning the pre-delta world.
+	if p.deltaOK {
+		for d := range pos {
+			o, bd := p.compileOrder(pos, greedyOrder(pos, v, d), v, relIdx)
+			o.modes = make([]uint8, len(o.steps))
+			for i := range o.steps {
+				switch a := o.steps[i].pos; {
+				case a < d:
+					o.modes[i] = winBelow
+				case a == d:
+					o.modes[i] = winFrom
+				}
+			}
+			place(&o, conds, bd)
+			p.deltas = append(p.deltas, o)
 		}
 	}
 
@@ -301,6 +312,77 @@ func Compile(q *Query, v relation.View) (*Plan, error) {
 	return p, nil
 }
 
+// compileOrder compiles the positive atoms in the given order: each
+// step's bound/free column split, its index-key recipe and its
+// repeated-variable checks. Variables get slots on first sight, shared
+// by every order of the plan. It also returns the step depth at which
+// each variable is first bound.
+func (p *Plan) compileOrder(pos []Atom, order []int, v relation.View, relIdx map[string]int) (joinOrder, map[string]int) {
+	o := joinOrder{steps: make([]planStep, 0, len(order)), relIdx: make([]int, 0, len(order))}
+	bindDepth := make(map[string]int)
+	for depth, idx := range order {
+		a := pos[idx]
+		sc := v.Schema(a.Rel)
+		st := planStep{rel: a.Rel, src: a, pos: idx}
+	args:
+		for i, t := range a.Args {
+			kind := sc.Attrs[i].Kind
+			if !t.IsVar() {
+				st.boundCols = append(st.boundCols, i)
+				st.key = append(st.key, keyPart{col: i, slot: -1, cval: sc.NormalizeValue(t.Const, i), kind: kind})
+				continue
+			}
+			if d, ok := bindDepth[t.Var]; ok && d < depth {
+				st.boundCols = append(st.boundCols, i)
+				st.key = append(st.key, keyPart{col: i, slot: p.slot(t.Var), kind: kind})
+				continue
+			}
+			for _, out := range st.outSlots {
+				if p.slotNames[out.slot] == t.Var {
+					// Repeated free variable: the first position binds it.
+					st.eqChecks = append(st.eqChecks, [2]int{out.col, i})
+					continue args
+				}
+			}
+			bindDepth[t.Var] = depth
+			st.outSlots = append(st.outSlots, slotCol{col: i, slot: p.slot(t.Var)})
+		}
+		o.steps = append(o.steps, st)
+		o.relIdx = append(o.relIdx, relIdx[a.Rel])
+	}
+	return o, bindDepth
+}
+
+// slot returns the variable's slot, allocating the next one on first
+// sight.
+func (p *Plan) slot(name string) int {
+	s, ok := p.slotOf[name]
+	if !ok {
+		s = len(p.slotNames)
+		p.slotOf[name] = s
+		p.slotNames = append(p.slotNames, name)
+	}
+	return s
+}
+
+// place pushes each condition down to the earliest step of the order
+// at which all of its variables are bound, so it is checked exactly
+// once per binding prefix.
+func place(o *joinOrder, conds []placedCond, bindDepth map[string]int) {
+	for _, c := range conds {
+		d := -1
+		for _, name := range c.vars {
+			d = max(d, bindDepth[name])
+		}
+		st := &o.steps[d]
+		if c.cmp != nil {
+			st.cmps = append(st.cmps, *c.cmp)
+		} else {
+			st.negs = append(st.negs, *c.neg)
+		}
+	}
+}
+
 // Query returns the compiled query.
 func (p *Plan) Query() *Query { return p.q }
 
@@ -309,9 +391,10 @@ func (p *Plan) Query() *Query { return p.q }
 func (p *Plan) RelNames() []string { return p.relNames }
 
 // SupportsDelta reports whether EvalDelta is sound for this plan: the
-// query has no aggregate and no negated atoms, so satisfaction is
-// monotone in the view and a new satisfying assignment must touch at
-// least one delta tuple.
+// query is monotone (positive, and any aggregate is count, cntd, sum
+// or max compared with > or >=), so satisfaction only ever switches on
+// as the view grows and a new satisfying assignment — or a new
+// contribution to the aggregate — must touch at least one delta tuple.
 func (p *Plan) SupportsDelta() bool { return p.deltaOK }
 
 // valid reports whether the plan's schema snapshot matches the view.
@@ -327,27 +410,13 @@ func (p *Plan) valid(v relation.View) bool {
 	return true
 }
 
-// OrderSummary renders the join order and condition placement in one
-// line, e.g. "TxOut[1]>TxIn[4]+1c pre:1" — [n] is the number of bound
-// key columns ("scan" when none), +Nc counts conditions checked at that
-// step, and pre:N counts ground negations tested once per run.
+// OrderSummary renders the main join order and condition placement in
+// one line, e.g. "TxOut[1]>TxIn[4]+1c pre:1" — [n] is the number of
+// bound key columns ("scan" when none), +Nc counts conditions checked
+// at that step, and pre:N counts ground negations tested once per run.
 func (p *Plan) OrderSummary() string {
 	var b strings.Builder
-	for i := range p.steps {
-		st := &p.steps[i]
-		if i > 0 {
-			b.WriteByte('>')
-		}
-		b.WriteString(st.rel)
-		if len(st.boundCols) > 0 {
-			fmt.Fprintf(&b, "[%d]", len(st.boundCols))
-		} else {
-			b.WriteString("[scan]")
-		}
-		if n := len(st.cmps) + len(st.negs); n > 0 {
-			fmt.Fprintf(&b, "+%dc", n)
-		}
-	}
+	p.main.summarize(&b)
 	if len(p.preNegs) > 0 {
 		fmt.Fprintf(&b, " pre:%d", len(p.preNegs))
 	}
@@ -357,13 +426,43 @@ func (p *Plan) OrderSummary() string {
 	return b.String()
 }
 
+// summarize writes the order in OrderSummary's step notation; each step
+// of a delta-first order is also tagged with the part of the view its
+// pass probes ("new", "old", or nothing for all of it).
+func (o *joinOrder) summarize(b *strings.Builder) {
+	for i := range o.steps {
+		st := &o.steps[i]
+		if i > 0 {
+			b.WriteByte('>')
+		}
+		b.WriteString(st.rel)
+		if len(st.boundCols) > 0 {
+			fmt.Fprintf(b, "[%d]", len(st.boundCols))
+		} else {
+			b.WriteString("[scan]")
+		}
+		if o.modes != nil {
+			switch o.modes[i] {
+			case winFrom:
+				b.WriteString("new")
+			case winBelow:
+				b.WriteString("old")
+			}
+		}
+		if n := len(st.cmps) + len(st.negs); n > 0 {
+			fmt.Fprintf(b, "+%dc", n)
+		}
+	}
+}
+
 // Scratch holds the reusable per-evaluation state for running compiled
 // plans: the slot array, per-depth index-key buffers, and per-depth
 // probe closures. A Scratch may be reused across plans and views but
 // must not be shared between concurrent evaluations; parallel workers
-// each own one.
+// each own one. Create one with NewScratch.
 type Scratch struct {
 	plan    *Plan
+	ord     *joinOrder // the order being run: the plan's main one, or a delta-first one
 	view    relation.View
 	slots   []value.Value
 	keyBufs [][]byte // per depth: LookupKey probes base then extra with recursion in between, so buffers cannot be shared across depths
@@ -371,11 +470,20 @@ type Scratch struct {
 	try     []func(value.Tuple) bool
 	yield   func() bool
 	skipNeg bool
-	proj    value.Tuple // aggregate projection, reused across assignments
+
+	// Reusable yields: found records a satisfying assignment and stops;
+	// fold feeds the aggregate projection of each assignment into acc
+	// and stops once its bound is crossed.
+	found     bool
+	acc       *Acc
+	ownAcc    Acc // the accumulator plain Eval folds into
+	yieldHit  func() bool
+	yieldFold func() bool
 
 	// Delta-evaluation window state (see delta.go). dv is nil for plain
 	// Eval runs, keeping the windowed dispatch to a single pointer check
-	// on the hot path. winModes/winFloors are per-depth.
+	// on the hot path. winModes aliases the running order's modes;
+	// winFloors is per-depth.
 	dv        DeltaView
 	winModes  []uint8
 	winFloors []int
@@ -393,7 +501,21 @@ type Scratch struct {
 
 // NewScratch returns an empty Scratch; it grows to fit whatever plan it
 // runs.
-func NewScratch() *Scratch { return &Scratch{} }
+func NewScratch() *Scratch {
+	sc := &Scratch{}
+	sc.yieldHit = func() bool {
+		sc.found = true
+		return false // stop at the first satisfying assignment
+	}
+	sc.yieldFold = func() bool {
+		if sc.acc.add(sc.plan.aggSlots, sc.slots) {
+			sc.found = true
+			return false
+		}
+		return true
+	}
+	return sc
+}
 
 // TotalProbes returns the tuple probes accumulated across every run
 // this scratch has finished — the plan-probe term of a check's cost
@@ -401,16 +523,18 @@ func NewScratch() *Scratch { return &Scratch{} }
 func (sc *Scratch) TotalProbes() int64 { return sc.totalProbes + sc.probes }
 
 func (sc *Scratch) prepare(p *Plan, v relation.View, skipNeg bool, yield func() bool) {
-	sc.plan, sc.view, sc.skipNeg, sc.yield = p, v, skipNeg, yield
+	sc.plan, sc.ord, sc.view, sc.skipNeg, sc.yield = p, &p.main, v, skipNeg, yield
+	sc.found = false
 	if n := len(p.slotNames); cap(sc.slots) >= n {
 		sc.slots = sc.slots[:n]
 	} else {
 		sc.slots = make([]value.Value, n)
 	}
-	for len(sc.keyBufs) < len(p.steps) {
+	n := len(p.main.steps)
+	for len(sc.keyBufs) < n {
 		sc.keyBufs = append(sc.keyBufs, nil)
 	}
-	for d := len(sc.try); d < len(p.steps); d++ {
+	for d := len(sc.try); d < n; d++ {
 		d := d
 		sc.try = append(sc.try, func(tup value.Tuple) bool { return sc.tryTuple(d, tup) })
 	}
@@ -425,12 +549,13 @@ func (sc *Scratch) finish() {
 	mTuplesProbed.Add(sc.probes)
 	sc.totalProbes += sc.probes
 	sc.lookups, sc.scans, sc.probes = 0, 0, 0
-	sc.plan, sc.view, sc.yield = nil, nil, nil
-	sc.dv = nil
+	sc.plan, sc.ord, sc.view, sc.yield, sc.acc = nil, nil, nil, nil, nil
+	sc.dv, sc.winModes = nil, nil
 }
 
-// run enumerates satisfying assignments, invoking the prepared yield
-// for each; yield returning false stops the enumeration.
+// run enumerates satisfying assignments over the current order,
+// invoking the prepared yield for each; yield returning false stops
+// the enumeration.
 func (sc *Scratch) run() {
 	p := sc.plan
 	if p.unsatCmp || (!sc.skipNeg && p.unsatNeg) {
@@ -450,11 +575,11 @@ func (sc *Scratch) run() {
 // its precomputed bound columns, or a scan when none are bound; at the
 // bottom every condition has already been checked, so it yields.
 func (sc *Scratch) step(depth int) bool {
-	p := sc.plan
-	if depth == len(p.steps) {
+	o := sc.ord
+	if depth == len(o.steps) {
 		return sc.yield()
 	}
-	st := &p.steps[depth]
+	st := &o.steps[depth]
 	if len(st.boundCols) == 0 {
 		sc.scans++
 		if sc.dv != nil {
@@ -504,7 +629,7 @@ func (sc *Scratch) step(depth int) bool {
 // path has written it.
 func (sc *Scratch) tryTuple(depth int, tup value.Tuple) bool {
 	sc.probes++
-	st := &sc.plan.steps[depth]
+	st := &sc.ord.steps[depth]
 	for _, eq := range st.eqChecks {
 		if !tup[eq[0]].Equal(tup[eq[1]]) {
 			return true // mismatch; keep scanning
@@ -573,146 +698,95 @@ func (sc *Scratch) slotOr(s int) value.Value {
 // reports whether any satisfying assignment exists.
 func (p *Plan) Eval(v relation.View, sc *Scratch) (bool, error) {
 	if p.q.Agg == nil {
-		found := false
-		sc.prepare(p, v, false, func() bool {
-			found = true
-			return false // stop at first satisfying assignment
-		})
+		sc.prepare(p, v, false, sc.yieldHit)
 		sc.run()
+		found := sc.found
 		sc.finish()
 		return found, nil
 	}
-	return p.aggregate(v, sc)
+	sc.ownAcc.reset(p.q.Agg, p.deltaOK)
+	return p.fold(v, sc, &sc.ownAcc), nil
 }
 
-// aggregate folds the aggregate over the bag of head projections and
-// applies the head comparison; an empty bag yields false, and monotone
-// heads stop as soon as the threshold is reached (see the interpreted
-// twin in interp.go).
-func (p *Plan) aggregate(v relation.View, sc *Scratch) (bool, error) {
-	h := p.q.Agg
-	earlyOut := p.q.IsMonotonic()
-	var (
-		n        int64
-		sumI     int64
-		sumF     float64
-		sawF     bool
-		extreme  value.Value
-		first    = true
-		distinct map[string]bool
-	)
-	if h.Func == AggCntd {
-		distinct = make(map[string]bool)
+// EvalBase evaluates the plan on the root world of an incremental
+// walk — a stack of growing worlds that EvalDelta then follows. It is
+// Eval, except that for an aggregate plan it resets acc and folds the
+// whole view into it, so each later EvalDelta adds only the new
+// assignments. acc may be nil for plans without an aggregate; when
+// given, it is reset either way, so a walk starts with no frames.
+func (p *Plan) EvalBase(v relation.View, sc *Scratch, acc *Acc) (bool, error) {
+	if acc != nil {
+		acc.reset(p.q.Agg, p.deltaOK)
 	}
-	if cap(sc.proj) >= len(h.Vars) {
-		sc.proj = sc.proj[:len(h.Vars)]
-	} else {
-		sc.proj = make(value.Tuple, len(h.Vars))
+	if p.q.Agg == nil {
+		return p.Eval(v, sc)
 	}
-	proj := sc.proj
-	crossed := func(cur value.Value) bool { return h.Op.Eval(cur.Compare(h.Bound)) }
-	stop := false
-	sc.prepare(p, v, false, func() bool {
-		for i, s := range p.aggSlots {
-			proj[i] = sc.slotOr(s)
-		}
-		switch h.Func {
-		case AggCount:
-			n++
-			if earlyOut && crossed(value.Int(n)) {
-				stop = true
-			}
-		case AggCntd:
-			distinct[proj.Key()] = true
-			if earlyOut && crossed(value.Int(int64(len(distinct)))) {
-				stop = true
-			}
-		case AggSum:
-			v := proj[0]
-			if v.Kind() == value.KindFloat || sawF {
-				sawF = true
-				sumF += v.AsFloat()
-			} else if v.Kind() == value.KindInt {
-				sumI += v.AsInt()
-			} else {
-				sawF = true
-				sumF += v.AsFloat() // panics for non-numerics, as documented
-			}
-			if earlyOut && crossed(sumValue(sumI, sumF, sawF)) {
-				stop = true
-			}
-		case AggMax:
-			if first || proj[0].Compare(extreme) > 0 {
-				extreme = proj[0]
-			}
-			if earlyOut && crossed(extreme) {
-				stop = true
-			}
-		case AggMin:
-			if first || proj[0].Compare(extreme) < 0 {
-				extreme = proj[0]
-			}
-		}
-		first = false
-		return !stop
-	})
+	if acc == nil {
+		return false, fmt.Errorf("query: EvalBase on an aggregate plan needs an accumulator")
+	}
+	return p.fold(v, sc, acc), nil
+}
+
+// fold runs the plan over the view, feeding every assignment's
+// aggregate projection into acc, and reports whether the aggregate's
+// head comparison holds. A monotone head stops as soon as the bound is
+// crossed; an empty bag yields false (see the interpreted twin in
+// interp.go).
+func (p *Plan) fold(v relation.View, sc *Scratch, acc *Acc) bool {
+	sc.prepare(p, v, false, sc.yieldFold)
+	sc.acc = acc
 	sc.run()
+	found := sc.found
 	sc.finish()
-	if first {
-		// Empty bag: false under the paper's chosen semantics.
-		return false, nil
+	if found {
+		return true
 	}
-	var result value.Value
-	switch h.Func {
-	case AggCount:
-		result = value.Int(n)
-	case AggCntd:
-		result = value.Int(int64(len(distinct)))
-	case AggSum:
-		result = sumValue(sumI, sumF, sawF)
-	case AggMax, AggMin:
-		result = extreme
-	default:
-		return false, fmt.Errorf("query: unknown aggregate %q", h.Func)
-	}
-	return h.Op.Eval(result.Compare(h.Bound)), nil
+	return acc.holds()
 }
 
-// planCache maps queries (by identity — queries are compiled objects,
-// not text, so pointer identity is the natural key) to their compiled
-// plans. A cached plan is only reused when its schema snapshot still
-// matches the view (see Plan.valid), so schema evolution or a different
-// database simply recompiles.
+// planCache maps a query's canonical text to the plans compiled for it,
+// one per schema set. Keying by text rather than by *Query lets the
+// fresh Query each check's Simplify returns share one plan, while two
+// databases with identical constraint text but different schemas keep
+// separate plans, picked by Plan.valid.
 var planCache = struct {
 	sync.RWMutex
-	m map[*Query]*Plan
-}{m: make(map[*Query]*Plan)}
+	m map[string][]*Plan
+	n int
+}{m: make(map[string][]*Plan)}
 
-// planCacheCap bounds the cache; at the cap the whole map is dropped —
-// the working set of live constraints is tiny and recompilation is
-// microseconds, so eviction sophistication buys nothing.
+// planCacheCap bounds the cache's plans; at the cap the whole map is
+// dropped — the working set of live constraints is tiny and
+// recompilation is microseconds, so eviction sophistication buys
+// nothing.
 const planCacheCap = 256
 
 // PlanFor returns a compiled plan for the query against the view,
-// caching by query identity. Safe for concurrent use.
+// cached by the query's canonical text and the view's schemas. Safe
+// for concurrent use.
 func PlanFor(q *Query, v relation.View) (*Plan, error) {
+	key := q.String()
 	planCache.RLock()
-	p := planCache.m[q]
-	planCache.RUnlock()
-	if p != nil && p.valid(v) {
-		mPlanCacheHits.Inc()
-		return p, nil
+	for _, p := range planCache.m[key] {
+		if p.valid(v) {
+			planCache.RUnlock()
+			mPlanCacheHits.Inc()
+			return p, nil
+		}
 	}
+	planCache.RUnlock()
 	mPlanCacheMisses.Inc()
 	p, err := Compile(q, v)
 	if err != nil {
 		return nil, err
 	}
 	planCache.Lock()
-	if len(planCache.m) >= planCacheCap {
+	if planCache.n >= planCacheCap {
 		clear(planCache.m)
+		planCache.n = 0
 	}
-	planCache.m[q] = p
+	planCache.m[key] = append(planCache.m[key], p)
+	planCache.n++
 	planCache.Unlock()
 	return p, nil
 }
