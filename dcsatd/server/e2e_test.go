@@ -7,10 +7,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -511,5 +513,72 @@ func TestConcurrentChecksAndDrops(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestHandlerPanicRecovered: a panic under a check answers with the
+// 500 internal envelope and a server_panic journal event instead of a
+// dropped connection, releases every in-flight counter, and leaves the
+// server serving the next check.
+func TestHandlerPanicRecovered(t *testing.T) {
+	s := New(Config{})
+	mux := http.NewServeMux()
+	s.Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	if _, err := c.Register(ctx, doubleSpendTenant("panic")); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Deregister(ctx, "panic") })
+
+	before := obs.DefaultJournal.TotalAppended()
+	s.beforeCheck = func() { panic("injected check panic") }
+	resp, err := http.Post(ts.URL+api.Prefix+"/tenants/panic/check", "application/json",
+		strings.NewReader(`{"name":"hot"}`))
+	if err != nil {
+		t.Fatalf("panicking check dropped the connection: %v", err)
+	}
+	var env api.Error
+	decErr := json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || decErr != nil || env.Code != api.CodeInternal {
+		t.Fatalf("panicking check: HTTP %d, envelope %+v (decode err %v), want 500 %s",
+			resp.StatusCode, env, decErr, api.CodeInternal)
+	}
+
+	if n := s.inflightN.Load(); n != 0 {
+		t.Errorf("handler in-flight count = %d after the panic, want 0", n)
+	}
+	if n := len(s.inflight); n != 0 {
+		t.Errorf("check slots held = %d after the panic, want 0", n)
+	}
+	if v := gInflight.Value(); v != 0 {
+		t.Errorf("%s = %d after the panic, want 0", obs.MetricServedInflight, v)
+	}
+
+	var journaled bool
+	for _, ev := range obs.DefaultJournal.Snapshot() {
+		if ev.Type != obs.EvServerPanic || ev.Seq < before {
+			continue
+		}
+		for _, f := range ev.Attrs {
+			if f.Key == "panic" && f.Val == "injected check panic" {
+				journaled = true
+			}
+		}
+	}
+	if !journaled {
+		t.Error("no server_panic journal event for the injected panic")
+	}
+
+	s.beforeCheck = nil
+	got, err := c.Check(ctx, "panic", &api.CheckRequest{Name: "hot"})
+	if err != nil {
+		t.Fatalf("check after the panic: %v", err)
+	}
+	if got.Satisfied {
+		t.Fatal("check after the panic lost its verdict")
 	}
 }

@@ -22,6 +22,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
@@ -152,12 +153,41 @@ func New(cfg Config) *Server {
 // and wildcard routing, so mux must be a stdlib *http.ServeMux.
 func (s *Server) Mount(mux *http.ServeMux) {
 	p := api.Prefix
-	mux.HandleFunc("POST "+p+"/tenants", s.handleRegister)
-	mux.HandleFunc("GET "+p+"/tenants", s.handleList)
-	mux.HandleFunc("GET "+p+"/tenants/{tenant}", s.handleStatus)
-	mux.HandleFunc("DELETE "+p+"/tenants/{tenant}", s.handleDeregister)
-	mux.HandleFunc("POST "+p+"/tenants/{tenant}/deltas", s.handleDeltas)
-	mux.HandleFunc("POST "+p+"/tenants/{tenant}/check", s.handleCheck)
+	handle := func(pattern string, h http.HandlerFunc) { mux.HandleFunc(pattern, recovering(h)) }
+	handle("POST "+p+"/tenants", s.handleRegister)
+	handle("GET "+p+"/tenants", s.handleList)
+	handle("GET "+p+"/tenants/{tenant}", s.handleStatus)
+	handle("DELETE "+p+"/tenants/{tenant}", s.handleDeregister)
+	handle("POST "+p+"/tenants/{tenant}/deltas", s.handleDeltas)
+	handle("POST "+p+"/tenants/{tenant}/check", s.handleCheck)
+}
+
+// recovering wraps a v1 handler so that a panic in it, or in the
+// engine it calls, answers with the api.CodeInternal envelope (500)
+// and a journal event, instead of net/http dropping the connection.
+// The handler's own deferred releases (in-flight counters, the
+// inflight slot) run while the panic unwinds, before this recover.
+// Handlers write their response last, so a panic normally lands before
+// anything was written. http.ErrAbortHandler is net/http's deliberate
+// abort and passes through.
+func recovering(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			obs.DefaultJournal.Append(obs.EvServerPanic, 0, "",
+				obs.F("method", r.Method),
+				obs.F("path", r.URL.Path),
+				obs.F("panic", fmt.Sprint(v)))
+			fail(w, api.CodeInternal, "internal error", 0)
+		}()
+		h(w, r)
+	}
 }
 
 // tenantByName returns the live tenant or nil.

@@ -32,9 +32,12 @@ const (
 	AlgoNaive
 	// AlgoOpt is the paper's OptDCSat: split pending transactions into
 	// connected components of the ind-q-transaction graph, filter by
-	// constant coverage, and enumerate cliques per component. Requires
-	// a monotonic query; falls back to NaiveDCSat when the query is
-	// not connected (as the paper does for aggregate queries).
+	// constant coverage, and enumerate cliques per component. When
+	// that search finds no violation, the groups merged through
+	// committed tuples (the state-bridge closure, see indQSplit) are
+	// searched too. Requires a monotonic query; falls back to
+	// NaiveDCSat when the query is not connected (as the paper does for
+	// aggregate queries).
 	AlgoOpt
 	// AlgoFDOnly is the PTIME solver family for databases whose
 	// constraints contain no inclusion dependencies: for conjunctive
@@ -138,7 +141,7 @@ type Stats struct {
 	Algorithm         Algorithm
 	Prechecked        bool // decided by the pre-check alone
 	LivePending       int  // transactions surviving the liveness filter
-	Components        int  // ind-q components (OptDCSat)
+	Components        int  // ind-q groups searched (OptDCSat): the direct ones, plus any the state bridge merged
 	ComponentsCovered int  // components passing the Covers filter
 	ComponentsCached  int  // components answered from the incremental verdict cache
 	Cliques           int  // maximal cliques enumerated
@@ -247,12 +250,12 @@ type Result struct {
 // this hook; nil means buildFDGraph from scratch.
 type fdGraphFn func(comp []int) *fdCompGraph
 
-// componentsFn computes the ind-q component split of the live subset
-// (global pending indexes) for the simplified query. The Monitor
-// injects its maintained Θ_I partition through this hook, so only the
-// query-derived Θ_q pass and the state-bridge closure run per check;
-// nil means indQComponents from scratch.
-type componentsFn func(ctx context.Context, subset []int, q *query.Query) [][]int
+// componentsFn runs the direct phase of the ind-q split (indQSplit)
+// over the live subset (global pending indexes) for the simplified
+// query. The Monitor injects its maintained Θ_I partition through this
+// hook, so only the query-derived Θ_q pass runs per check; nil means
+// newIndQSplit from scratch.
+type componentsFn func(subset []int, q *query.Query) *indQSplit
 
 // Check decides whether the blockchain database satisfies the denial
 // constraint: D |= ¬q iff q evaluates to false over every possible
@@ -532,15 +535,19 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	var groups [][]int
+	var (
+		split  *indQSplit
+		groups [][]int
+	)
 	if optimized && q.IsConnected() {
-		splitCtx, splitSpan := obs.Start(ctx, "component_split")
+		_, splitSpan := obs.Start(ctx, "component_split")
 		splitStart := time.Now()
 		if env.components != nil {
-			groups = env.components(splitCtx, live, q)
+			split = env.components(live, q)
 		} else {
-			groups = indQComponents(splitCtx, d, live, q)
+			split = newIndQSplit(d, live, q, nil)
 		}
+		groups = split.direct
 		res.Stats.ClosureDur = time.Since(splitStart)
 		splitSpan.SetAttr("components", len(groups))
 		splitSpan.End()
@@ -551,7 +558,7 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	var targets []coverTarget
+	var targets []atomFilter
 	if optimized && !opts.DisableCoverFilter {
 		targets = coverTargets(d, q)
 	}
@@ -588,6 +595,22 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 		searchSpan.End()
 	}()
 	o := searchComponents(ctx, d, q, groups, targets, opts.Workers, env, &res.Stats)
+	// A violation in a direct group is final. "Satisfied" is final only
+	// once the state-bridge closure has merged no direct groups, or the
+	// coarse groups it merged have been searched too.
+	if o == nil && split != nil && split.needsBridge() {
+		_, bridgeSpan := obs.Start(ctx, "state_bridge_closure")
+		bridgeStart := time.Now()
+		merged, overflow := split.bridge()
+		res.Stats.ClosureDur += time.Since(bridgeStart)
+		bridgeSpan.SetAttr("merged", len(merged))
+		bridgeSpan.SetAttr("overflow", overflow)
+		bridgeSpan.End()
+		res.Stats.Components += len(merged)
+		if len(merged) > 0 {
+			o = searchComponents(ctx, d, q, merged, targets, opts.Workers, env, &res.Stats)
+		}
+	}
 	if o == nil {
 		return res, nil
 	}

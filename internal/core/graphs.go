@@ -11,11 +11,9 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"sort"
 
 	"blockchaindb/internal/graph"
-	"blockchaindb/internal/obs"
 	"blockchaindb/internal/possible"
 	"blockchaindb/internal/query"
 	"blockchaindb/internal/relation"
@@ -218,286 +216,333 @@ func fdConflictsWithState(d *possible.DB, tx *relation.Transaction) bool {
 	return false
 }
 
-// indQComponents partitions the pending transactions at the given
-// indexes into connected components such that no satisfying assignment
-// of q over any possible world uses tuples from two different
-// components. It refines the paper's ind-q-transaction graph
-// G^{q,ind}_T:
+// indQSplit is OptDCSat's split of the live pending transactions into
+// groups that no satisfying assignment of q straddles. It runs in two
+// phases over one union-find, because the phases answer different
+// questions.
 //
-//   - as in the paper, for every equality constraint θ = R[X̄] = S[Ȳ]
-//     in Θ_I ∪ Θ_q, two pending transactions holding matching tuples on
-//     opposite sides of θ are connected (computed via hash buckets, not
-//     materialized edges);
-//   - additionally, for Θ_q (the query-derived constraints), the
-//     connection is closed through COMMITTED tuples: an assignment may
-//     map an intermediate query atom to a state tuple, bridging two
-//     pending transactions that share no direct θ edge. Proposition 2
-//     as stated in the paper misses this case (see
-//     TestProp2StateBridgeCounterexample); without the closure,
-//     OptDCSat can wrongly report a violated constraint as satisfied.
-//     The closure runs a worklist over state tuples reachable from
-//     pending tuples along Θ_q joins, each becoming a shared node in
-//     the union-find; it is bounded by maxStateBridgeNodes, beyond
-//     which the function degrades soundly to a single component
-//     (NaiveDCSat semantics).
+// The direct phase (newIndQSplit) builds the paper's
+// ind-q-transaction graph G^{q,ind}_T: for every equality constraint
+// θ = R[X̄] = S[Ȳ] in Θ_I ∪ Θ_q, two pending transactions holding
+// matching tuples on opposite sides of θ are connected (through hash
+// buckets, not materialized edges). Θ_q is taken per atom pair
+// (query.AtomPairs), and a pending tuple enters a side's bucket only
+// if it matches that atom's constants: no assignment can map the atom
+// to it otherwise. The connected components are the direct groups.
 //
-// The returned components contain global pending indexes, each sorted.
-// The context is observability-only: when it carries an active trace,
-// the state-bridge closure records a child span.
-func indQComponents(ctx context.Context, d *possible.DB, subset []int, q *query.Query) [][]int {
-	return indQComponentsSeeded(ctx, d, subset, q, nil)
+// A violation found inside any direct group is real: the search only
+// evaluates maximal worlds of fd-compatible cliques, and those are
+// possible worlds whatever subset the clique was drawn from. What the
+// direct groups cannot prove alone is "satisfied". An assignment may
+// map an intermediate query atom to a COMMITTED tuple, bridging two
+// pending transactions that share no direct θ edge; Proposition 2 as
+// stated in the paper misses this case (see
+// TestProp2StateBridgeCounterexample). The bridge phase (bridge)
+// closes the connection through the state, on the same union-find and
+// the same pending buckets, and returns the coarse groups that merged
+// two or more direct groups: the only places a violation the direct
+// search missed can live.
+type indQSplit struct {
+	d      *possible.DB
+	subset []int
+	uf     *growingUnionFind
+	atoms  []atomFilter // per positive atom of q
+	pairs  []query.AtomPair
+	// pendingI[p] (pendingJ[p]) maps the projection on pair p's
+	// columns to the local subset indexes whose tuples can stand for
+	// the pair's atom I (J).
+	pendingI, pendingJ []map[string][]int
+	dirRoot            []int   // local index -> its direct group's union-find root
+	direct             [][]int // global pending indexes, each sorted, ordered by first member
 }
 
-// indQComponentsSeeded is indQComponents with the Θ_I side optionally
-// precomputed: when seedGroups is non-nil, each group is a set of
-// LOCAL subset indexes already known to be connected (the Monitor's
-// maintained Θ_I partition restricted to the subset), the groups are
-// pre-unioned, and only the query-derived Θ_q bucket pass runs.
-// Seeding with a COARSER-or-equal partition than the true Θ_I one is
-// sound (components may only grow, never split), which is what the
-// Monitor provides: its partition is over all pending transactions,
-// while the subset here is the live ones, so a dead transaction can
-// act as a bridge and merge two groups that the from-scratch pass
-// would keep apart.
-func indQComponentsSeeded(ctx context.Context, d *possible.DB, subset []int, q *query.Query, seedGroups [][]int) [][]int {
-	var indThetas []query.EqualityConstraint
-	if seedGroups == nil {
-		indThetas = equalityConstraints(d, nil)
-	}
-	var queryThetas []query.EqualityConstraint
-	if q != nil {
-		queryThetas = q.EqualityConstraints()
-	}
-	bridgeBudget := maxStateBridgeNodes(len(subset))
+// atomFilter is one positive query atom's relation and constants,
+// normalized to the column kinds: a tuple can stand for the atom only
+// if its projection on constCols encodes to constKey.
+type atomFilter struct {
+	rel       string
+	constCols []int
+	constKey  string
+}
 
-	uf := newGrowingUnionFind(len(subset))
+// newAtomFilter normalizes the atom's constants to its relation's
+// column kinds.
+func newAtomFilter(d *possible.DB, atom query.Atom) atomFilter {
+	cols, consts := query.AtomConstants(atom)
+	sc := d.State.Schema(atom.Rel)
+	norm := consts.Clone()
+	for i, c := range cols {
+		norm[i] = sc.NormalizeValue(consts[i], c)
+	}
+	return atomFilter{rel: atom.Rel, constCols: cols, constKey: norm.Key()}
+}
+
+// matches reports whether t can stand for the atom; buf is a reusable
+// key buffer.
+func (f *atomFilter) matches(t value.Tuple, buf *[]byte) bool {
+	if len(f.constCols) == 0 {
+		return true
+	}
+	*buf = t.AppendProjectKey((*buf)[:0], f.constCols)
+	return string(*buf) == f.constKey
+}
+
+// newIndQSplit runs the direct phase over the pending transactions at
+// the given (global) indexes. With seedGroups nil, the Θ_I side comes
+// from a bucket pass over the inclusion dependencies. Otherwise each
+// seed group is a set of LOCAL subset indexes already known to be
+// connected, and the groups are pre-unioned instead. Seeding with a
+// COARSER-or-equal partition than the true Θ_I one is sound (groups
+// may only grow, never split), which is what the Monitor provides: its
+// partition is over all pending transactions, while the subset here is
+// the live ones, so a dead transaction can act as a bridge and merge
+// two groups that the bucket pass would keep apart. A nil q yields the
+// Θ_I partition alone.
+func newIndQSplit(d *possible.DB, subset []int, q *query.Query, seedGroups [][]int) *indQSplit {
+	s := &indQSplit{d: d, subset: subset, uf: newGrowingUnionFind(len(subset))}
+	if seedGroups == nil {
+		for i, ind := range d.Constraints.INDs {
+			cols, refCols := d.Constraints.INDColumns(i)
+			s.unionMatching(s.buckets(ind.Rel, cols, nil), s.buckets(ind.RefRel, refCols, nil))
+		}
+	}
 	for _, g := range seedGroups {
 		for _, l := range g[1:] {
-			uf.union(g[0], l)
+			s.uf.union(g[0], l)
 		}
 	}
-	// Pending-side buckets per θ, for both Θ_I and Θ_q.
-	type bucket struct {
-		lhs, rhs []int // local pending indexes, deduplicated
+	if q != nil {
+		pos := q.Positives()
+		s.atoms = make([]atomFilter, len(pos))
+		for ai, atom := range pos {
+			s.atoms[ai] = newAtomFilter(d, atom)
+		}
+		s.pairs = q.AtomPairs()
+		s.pendingI = make([]map[string][]int, len(s.pairs))
+		s.pendingJ = make([]map[string][]int, len(s.pairs))
+		for pi, pr := range s.pairs {
+			s.pendingI[pi] = s.buckets(pos[pr.I].Rel, pr.Cols, &s.atoms[pr.I])
+			s.pendingJ[pi] = s.buckets(pos[pr.J].Rel, pr.RefCols, &s.atoms[pr.J])
+			s.unionMatching(s.pendingI[pi], s.pendingJ[pi])
+		}
 	}
-	allThetas := append(append([]query.EqualityConstraint(nil), indThetas...), queryThetas...)
-	buckets := make([]map[string]*bucket, len(allThetas))
-	for ti, th := range allThetas {
-		lhsCols, lhsOK := resolveThetaSide(d, th.Rel, th.Cols)
-		rhsCols, rhsOK := resolveThetaSide(d, th.RefRel, th.RefCols)
-		if !lhsOK || !rhsOK {
-			continue
+	s.dirRoot = make([]int, len(subset))
+	for local := range subset {
+		s.dirRoot[local] = s.uf.find(local)
+	}
+	s.direct = s.groups(nil)
+	return s
+}
+
+// buckets maps each projection on cols of the subset's rel tuples that
+// can stand for the atom f (nil: every tuple) to the local indexes of
+// the transactions holding one, ascending and deduplicated (locals are
+// visited in order, so a repeat can only be the last entry).
+//
+// Keys are built in one reused buffer, so only a key's first occurrence
+// allocates its string. Without constants to filter on, every tuple
+// may open a bucket, and the map is sized for that up front.
+func (s *indQSplit) buckets(rel string, cols []int, f *atomFilter) map[string][]int {
+	hint := 0
+	if f == nil || len(f.constCols) == 0 {
+		for _, global := range s.subset {
+			hint += len(s.d.Pending[global].Tuples(rel))
 		}
-		bs := make(map[string]*bucket)
-		buckets[ti] = bs
-		get := func(key string) *bucket {
-			b := bs[key]
-			if b == nil {
-				b = &bucket{}
-				bs[key] = b
-			}
-			return b
-		}
-		for local, global := range subset {
-			tx := d.Pending[global]
-			for _, t := range tx.Tuples(th.Rel) {
-				b := get(t.ProjectKey(lhsCols))
-				b.lhs = appendUnique(b.lhs, local)
-			}
-			for _, t := range tx.Tuples(th.RefRel) {
-				b := get(t.ProjectKey(rhsCols))
-				b.rhs = appendUnique(b.rhs, local)
-			}
-		}
-		// Pending↔pending edges (the paper's graph).
-		for _, b := range bs {
-			if len(b.lhs) == 0 || len(b.rhs) == 0 {
+	}
+	m := make(map[string][]int, hint)
+	var buf, kbuf []byte
+	for local, global := range s.subset {
+		for _, t := range s.d.Pending[global].Tuples(rel) {
+			if f != nil && !f.matches(t, &buf) {
 				continue
 			}
-			anchor := b.rhs[0]
-			for _, l := range b.lhs {
-				uf.union(anchor, l)
-			}
-			for _, r := range b.rhs[1:] {
-				uf.union(anchor, r)
+			kbuf = t.AppendProjectKey(kbuf[:0], cols)
+			if ls, ok := m[string(kbuf)]; !ok {
+				m[string(kbuf)] = []int{local}
+			} else if ls[len(ls)-1] != local {
+				m[string(kbuf)] = append(ls, local)
 			}
 		}
 	}
+	return m
+}
 
-	// State-bridge closure, atom-aware: an assignment may map an
-	// intermediate query atom to a COMMITTED tuple, bridging two pending
-	// transactions that share no direct θ edge — the case Proposition 2
-	// as stated in the paper misses (see
-	// TestProp2StateBridgeCounterexample). The closure explores state
-	// tuples that could stand for a specific query atom (so they must
-	// match that atom's constants) along the atom-pair constraints, to a
-	// depth bounded by the query shape: an assignment has at most
-	// k = |positive atoms| tuples, so a bridge path passes through at
-	// most k-2 committed tuples. Exceeding the node budget degrades
-	// soundly to a single component (NaiveDCSat semantics).
-	overflow := false
-	if q != nil && len(q.Positives()) >= 3 {
-		_, bridgeSpan := obs.Start(ctx, "state_bridge_closure")
-		defer func() {
-			bridgeSpan.SetAttr("overflow", overflow)
-			bridgeSpan.End()
-		}()
-		pos := q.Positives()
-		maxDepth := len(pos) - 2
-		pairs := q.AtomPairs()
-		// Per-atom constant filters, normalized to column kinds.
-		type atomInfo struct {
-			rel       string
-			constCols []int
-			constKey  string
+// unionMatching connects the holders of matching tuples on opposite
+// sides of one equality constraint (pending↔pending edges, the paper's
+// graph).
+func (s *indQSplit) unionMatching(lhs, rhs map[string][]int) {
+	for k, ls := range lhs {
+		rs := rhs[k]
+		if len(rs) == 0 {
+			continue
 		}
-		infos := make([]atomInfo, len(pos))
-		for ai, atom := range pos {
-			cols, consts := query.AtomConstants(atom)
-			sc := d.State.Schema(atom.Rel)
-			norm := consts.Clone()
-			for i, c := range cols {
-				norm[i] = sc.NormalizeValue(consts[i], c)
-			}
-			infos[ai] = atomInfo{rel: atom.Rel, constCols: cols, constKey: norm.Key()}
+		anchor := rs[0]
+		for _, l := range ls {
+			s.uf.union(anchor, l)
 		}
-		matchesAtom := func(ai int, t value.Tuple) bool {
-			info := infos[ai]
-			return len(info.constCols) == 0 || t.ProjectKey(info.constCols) == info.constKey
-		}
-		// Pending tuples bucketed per (pair, side), filtered by the
-		// side's atom constants, for unions during expansion.
-		type sideMap map[string][]int
-		pendingI := make([]sideMap, len(pairs))
-		pendingJ := make([]sideMap, len(pairs))
-		for pi, pr := range pairs {
-			mi, mj := sideMap{}, sideMap{}
-			pendingI[pi], pendingJ[pi] = mi, mj
-			for local, global := range subset {
-				tx := d.Pending[global]
-				for _, t := range tx.Tuples(infos[pr.I].rel) {
-					if matchesAtom(pr.I, t) {
-						k := t.ProjectKey(pr.Cols)
-						mi[k] = appendUnique(mi[k], local)
-					}
-				}
-				for _, t := range tx.Tuples(infos[pr.J].rel) {
-					if matchesAtom(pr.J, t) {
-						k := t.ProjectKey(pr.RefCols)
-						mj[k] = appendUnique(mj[k], local)
-					}
-				}
-			}
-		}
-		nodeByTuple := make(map[string]int) // rel+tuple key -> node id
-		seen := make(map[string]bool)       // atom|tuple expansion marker
-		type workItem struct {
-			node  int
-			atom  int
-			tup   value.Tuple
-			depth int
-		}
-		var queue []workItem
-		// reach looks up state tuples standing for atom `ai` whose
-		// projection on cols equals key, unioning them with `from` and
-		// scheduling their expansion. Once the node budget overflows the
-		// result is already decided (single component), so further state
-		// scans are pure waste — every call degrades to a no-op.
-		reach := func(from, ai int, cols []int, key string, depth int) {
-			if overflow {
-				return
-			}
-			d.State.Lookup(infos[ai].rel, cols, key, func(t value.Tuple) bool {
-				if !matchesAtom(ai, t) {
-					return true
-				}
-				tk := infos[ai].rel + "\x00" + t.Key()
-				id, ok := nodeByTuple[tk]
-				if !ok {
-					if len(nodeByTuple) >= bridgeBudget {
-						overflow = true
-						return false
-					}
-					id = uf.add()
-					nodeByTuple[tk] = id
-				}
-				uf.union(from, id)
-				ak := string(rune(ai)) + tk
-				if !seen[ak] {
-					seen[ak] = true
-					queue = append(queue, workItem{node: id, atom: ai, tup: t, depth: depth})
-				}
-				return true
-			})
-		}
-		// Seed: pending tuples standing for one side of a pair reach the
-		// state on the other side (depth 1). The loops stop as soon as
-		// overflow fires — the verdict is final at that point.
-	seed:
-		for pi, pr := range pairs {
-			for key, members := range pendingI[pi] {
-				for _, l := range members {
-					reach(l, pr.J, pr.RefCols, key, 1)
-					if overflow {
-						break seed
-					}
-				}
-			}
-			for key, members := range pendingJ[pi] {
-				for _, l := range members {
-					reach(l, pr.I, pr.Cols, key, 1)
-					if overflow {
-						break seed
-					}
-				}
-			}
-		}
-		// Close breadth-first along the atom-pair structure.
-		for qi := 0; qi < len(queue) && !overflow; qi++ {
-			item := queue[qi]
-			for pi, pr := range pairs {
-				if pr.I == item.atom {
-					key := item.tup.ProjectKey(pr.Cols)
-					for _, l := range pendingJ[pi][key] {
-						uf.union(item.node, l)
-					}
-					if item.depth < maxDepth {
-						reach(item.node, pr.J, pr.RefCols, key, item.depth+1)
-					}
-				}
-				if pr.J == item.atom {
-					key := item.tup.ProjectKey(pr.RefCols)
-					for _, l := range pendingI[pi][key] {
-						uf.union(item.node, l)
-					}
-					if item.depth < maxDepth {
-						reach(item.node, pr.I, pr.Cols, key, item.depth+1)
-					}
-				}
-			}
+		for _, r := range rs[1:] {
+			s.uf.union(anchor, r)
 		}
 	}
-	if overflow {
-		// Budget exhausted: collapse to one component (sound — this is
-		// NaiveDCSat's view).
-		all := append([]int(nil), subset...)
-		sort.Ints(all)
-		return [][]int{all}
-	}
+}
 
-	// Project the union-find back onto the pending transactions.
-	groups := make(map[int][]int)
-	for local := range subset {
-		root := uf.find(local)
-		groups[root] = append(groups[root], subset[local])
+// groups projects the union-find onto the subset: one group of global
+// pending indexes per root, each sorted, ordered by first member. keep,
+// when non-nil, selects which groups (by their local members) to
+// return.
+func (s *indQSplit) groups(keep func(locals []int) bool) [][]int {
+	byRoot := make([][]int, len(s.uf.parent))
+	var roots []int
+	for local := range s.subset {
+		r := s.uf.find(local)
+		if byRoot[r] == nil {
+			roots = append(roots, r)
+		}
+		byRoot[r] = append(byRoot[r], local)
 	}
-	out := make([][]int, 0, len(groups))
-	for _, comp := range groups {
+	out := make([][]int, 0, len(roots))
+	for _, r := range roots {
+		locals := byRoot[r]
+		if keep != nil && !keep(locals) {
+			continue
+		}
+		comp := make([]int, len(locals))
+		for i, l := range locals {
+			comp[i] = s.subset[l]
+		}
 		sort.Ints(comp)
 		out = append(out, comp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
+}
+
+// needsBridge reports whether a "satisfied" verdict over the direct
+// groups still needs the bridge phase to be sound. A bridge path
+// passes through at most |positive atoms|-2 committed tuples, so a
+// query with fewer than three positive atoms has none; a single direct
+// group has nothing to merge.
+func (s *indQSplit) needsBridge() bool {
+	return len(s.atoms) >= 3 && len(s.direct) >= 2
+}
+
+// bridge runs the state-bridge closure on the direct phase's
+// union-find and returns the coarse groups that merged two or more
+// direct groups. The closure is atom-aware: it explores state tuples
+// that could stand for a specific query atom (so they must match that
+// atom's constants) along the atom-pair constraints, to a depth
+// bounded by the query shape: an assignment has at most
+// k = |positive atoms| tuples, so a bridge path passes through at most
+// k-2 committed tuples. Each state tuple reached becomes a shared node
+// in the union-find. Past maxStateBridgeNodes nodes it degrades
+// soundly to the one group of every subset transaction (NaiveDCSat
+// semantics) and reports overflow.
+func (s *indQSplit) bridge() (merged [][]int, overflow bool) {
+	d, uf := s.d, s.uf
+	budget := maxStateBridgeNodes(len(s.subset))
+	maxDepth := len(s.atoms) - 2
+	var buf []byte
+	nodeByTuple := make(map[string]int) // rel+tuple key -> node id
+	seen := make(map[string]bool)       // atom|tuple expansion marker
+	type workItem struct {
+		node  int
+		atom  int
+		tup   value.Tuple
+		depth int
+	}
+	var queue []workItem
+	// reach looks up state tuples standing for atom `ai` whose
+	// projection on cols equals key, unioning them with `from` and
+	// scheduling their expansion. Once the node budget overflows the
+	// result is already decided (single group), so further state scans
+	// are pure waste — every call degrades to a no-op.
+	reach := func(from, ai int, cols []int, key string, depth int) {
+		if overflow {
+			return
+		}
+		f := &s.atoms[ai]
+		d.State.Lookup(f.rel, cols, key, func(t value.Tuple) bool {
+			if !f.matches(t, &buf) {
+				return true
+			}
+			tk := f.rel + "\x00" + t.Key()
+			id, ok := nodeByTuple[tk]
+			if !ok {
+				if len(nodeByTuple) >= budget {
+					overflow = true
+					return false
+				}
+				id = uf.add()
+				nodeByTuple[tk] = id
+			}
+			uf.union(from, id)
+			ak := string(rune(ai)) + tk
+			if !seen[ak] {
+				seen[ak] = true
+				queue = append(queue, workItem{node: id, atom: ai, tup: t, depth: depth})
+			}
+			return true
+		})
+	}
+	// Seed: pending tuples standing for one side of a pair reach the
+	// state on the other side (depth 1). The loops stop as soon as
+	// overflow fires — the result is final at that point.
+seed:
+	for pi, pr := range s.pairs {
+		for key, members := range s.pendingI[pi] {
+			for _, l := range members {
+				reach(l, pr.J, pr.RefCols, key, 1)
+				if overflow {
+					break seed
+				}
+			}
+		}
+		for key, members := range s.pendingJ[pi] {
+			for _, l := range members {
+				reach(l, pr.I, pr.Cols, key, 1)
+				if overflow {
+					break seed
+				}
+			}
+		}
+	}
+	// Close breadth-first along the atom-pair structure.
+	for qi := 0; qi < len(queue) && !overflow; qi++ {
+		item := queue[qi]
+		for pi, pr := range s.pairs {
+			if pr.I == item.atom {
+				key := item.tup.ProjectKey(pr.Cols)
+				for _, l := range s.pendingJ[pi][key] {
+					uf.union(item.node, l)
+				}
+				if item.depth < maxDepth {
+					reach(item.node, pr.J, pr.RefCols, key, item.depth+1)
+				}
+			}
+			if pr.J == item.atom {
+				key := item.tup.ProjectKey(pr.RefCols)
+				for _, l := range s.pendingI[pi][key] {
+					uf.union(item.node, l)
+				}
+				if item.depth < maxDepth {
+					reach(item.node, pr.I, pr.Cols, key, item.depth+1)
+				}
+			}
+		}
+	}
+	if overflow {
+		all := append([]int(nil), s.subset...)
+		sort.Ints(all)
+		return [][]int{all}, true
+	}
+	return s.groups(func(locals []int) bool {
+		for _, l := range locals[1:] {
+			if s.dirRoot[l] != s.dirRoot[locals[0]] {
+				return true
+			}
+		}
+		return false
+	}), false
 }
 
 // maxStateBridgeNodes bounds the state-bridge closure: generous enough
@@ -555,87 +600,28 @@ func (uf *growingUnionFind) union(a, b int) {
 	}
 }
 
-// equalityConstraints assembles Θ = Θ_I ∪ Θ_q: each inclusion
-// dependency contributes R[X̄] = S[Ȳ], and the query contributes its
-// atom-pair constraints. Column indexes of Θ_I come resolved from the
-// constraint set; Θ_q's indexes are argument positions, which coincide
-// with column indexes because atoms list every column.
-func equalityConstraints(d *possible.DB, q *query.Query) []query.EqualityConstraint {
-	var out []query.EqualityConstraint
-	for i, ind := range d.Constraints.INDs {
-		cols, refCols := d.Constraints.INDColumns(i)
-		out = append(out, query.EqualityConstraint{
-			Rel: ind.Rel, Cols: cols, RefRel: ind.RefRel, RefCols: refCols,
-		})
-	}
-	if q != nil {
-		out = append(out, q.EqualityConstraints()...)
-	}
-	return out
-}
-
-// resolveThetaSide validates the columns against the relation's schema.
-func resolveThetaSide(d *possible.DB, rel string, cols []int) ([]int, bool) {
-	sc := d.State.Schema(rel)
-	if sc == nil {
-		return nil, false
-	}
-	for _, c := range cols {
-		if c < 0 || c >= sc.Arity() {
-			return nil, false
-		}
-	}
-	return cols, true
-}
-
-func appendUnique(xs []int, x int) []int {
-	if len(xs) > 0 && xs[len(xs)-1] == x {
-		return xs
-	}
-	for _, v := range xs {
-		if v == x {
-			return xs
-		}
-	}
-	return append(xs, x)
-}
-
-// coverTarget is one constant-bearing query atom whose constants the
-// current state does not cover: only pending transactions can supply
-// it, so it can discriminate between components.
-type coverTarget struct {
-	rel  string
-	cols []int
-	key  string
-}
-
 // coverTargets prepares the paper's Covers(R, T', q) test: for each
 // positive atom with constants, normalize the constants to the column
 // kinds and probe the state once. Atoms the state already covers pass
-// for every component and are dropped; the remainder must be matched by
-// a component's transactions. This hoists the per-check work out of the
+// for every component and are dropped; each remaining target is an
+// atom only pending transactions can supply, so it can discriminate
+// between components. This hoists the per-check work out of the
 // per-component loop (the state probe is by far the bigger share when
 // there are hundreds of components).
-func coverTargets(d *possible.DB, q *query.Query) []coverTarget {
-	var targets []coverTarget
+func coverTargets(d *possible.DB, q *query.Query) []atomFilter {
+	var targets []atomFilter
 	for _, atom := range q.Positives() {
-		cols, consts := query.AtomConstants(atom)
-		if len(cols) == 0 {
+		f := newAtomFilter(d, atom)
+		if len(f.constCols) == 0 {
 			continue
 		}
-		sc := d.State.Schema(atom.Rel)
-		norm := consts.Clone()
-		for i, c := range cols {
-			norm[i] = sc.NormalizeValue(consts[i], c)
-		}
-		key := norm.Key()
 		inState := false
-		d.State.Lookup(atom.Rel, cols, key, func(value.Tuple) bool {
+		d.State.Lookup(f.rel, f.constCols, f.constKey, func(value.Tuple) bool {
 			inState = true
 			return false
 		})
 		if !inState {
-			targets = append(targets, coverTarget{rel: atom.Rel, cols: cols, key: key})
+			targets = append(targets, f)
 		}
 	}
 	return targets
@@ -644,12 +630,14 @@ func coverTargets(d *possible.DB, q *query.Query) []coverTarget {
 // covers reports whether the component's transactions supply every
 // cover target — Covers(R, T', q) with the state-covered atoms already
 // discharged by coverTargets.
-func covers(d *possible.DB, subset []int, targets []coverTarget) bool {
-	for _, tg := range targets {
+func covers(d *possible.DB, subset []int, targets []atomFilter) bool {
+	var buf []byte
+	for i := range targets {
+		tg := &targets[i]
 		found := false
 		for _, global := range subset {
 			for _, t := range d.Pending[global].Tuples(tg.rel) {
-				if t.ProjectKey(tg.cols) == tg.key {
+				if tg.matches(t, &buf) {
 					found = true
 					break
 				}

@@ -830,19 +830,20 @@ func (m *Monitor) fdGraphFromConflicts(comp []int) *fdCompGraph {
 // seededComponents is the Monitor's componentsFn hook: the Θ_I side of
 // the ind-q split comes from the maintained partition (restricted to
 // the subset) instead of a from-scratch bucket pass, so only the
-// query-derived Θ_q edges and the state-bridge closure run per Check.
-// The maintained partition covers ALL pending transactions while the
-// subset here is typically the live ones; a dead transaction can
-// bridge two live groups, making the seed coarser than the
-// from-scratch Θ_I partition over the subset — sound (components only
-// grow), and exactly the coarsening NaiveDCSat lives with globally.
-func (m *Monitor) seededComponents(ctx context.Context, subset []int, q *query.Query) [][]int {
+// query-derived Θ_q edges run per Check (and the state-bridge closure,
+// when a satisfied verdict needs it). The maintained partition covers
+// ALL pending transactions while the subset here is typically the live
+// ones; a dead transaction can bridge two live groups, making the seed
+// coarser than the from-scratch Θ_I partition over the subset — sound
+// (groups only grow), and exactly the coarsening NaiveDCSat lives with
+// globally.
+func (m *Monitor) seededComponents(subset []int, q *query.Query) *indQSplit {
 	seeds := make(map[int][]int, len(subset))
 	for local, slot := range subset {
 		r, ok := m.parts.Root(m.ids[slot])
 		if !ok {
 			// Unreachable: every pending slot has a partition entry.
-			return indQComponents(ctx, m.db, subset, q)
+			return newIndQSplit(m.db, subset, q, nil)
 		}
 		seeds[r] = append(seeds[r], local)
 	}
@@ -850,7 +851,7 @@ func (m *Monitor) seededComponents(ctx context.Context, subset []int, q *query.Q
 	for _, g := range seeds {
 		groups = append(groups, g)
 	}
-	return indQComponentsSeeded(ctx, m.db, subset, q, groups)
+	return newIndQSplit(m.db, subset, q, groups)
 }
 
 // IDsForSlots maps pending slots to stable ids, sorted. Slots shift

@@ -81,9 +81,9 @@ func assertMonitorGraphs(t testing.TB, m *Monitor, step string) bool {
 		}
 	}
 
-	// Θ_I partition: maintained components vs indQComponents with no
-	// query (q = nil adds no Θ_q edges and no state bridge, so the
-	// from-scratch split is exactly the Θ_I partition).
+	// Θ_I partition: maintained components vs the direct split with no
+	// query (q = nil adds no Θ_q edges, so the from-scratch direct
+	// groups are exactly the Θ_I partition).
 	canon := func(groups [][]int) []string {
 		keys := make([]string, 0, len(groups))
 		for _, g := range groups {
@@ -95,7 +95,7 @@ func assertMonitorGraphs(t testing.TB, m *Monitor, step string) bool {
 		sort.Strings(keys)
 		return keys
 	}
-	freshGroups := indQComponents(context.Background(), d, all, nil)
+	freshGroups := newIndQSplit(d, all, nil, nil).direct
 	wantParts := make([][]int, 0, len(freshGroups))
 	for _, g := range freshGroups {
 		ids := make([]int, len(g))

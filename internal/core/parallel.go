@@ -164,7 +164,7 @@ const branchesPerWorker = 4
 // up front, and its CliqueBranches — which partition its maximal
 // cliques, in the order the whole walk reaches them — become the units
 // instead; its verdict is stored once all branches resolve.
-func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, groups [][]int, targets []coverTarget, workers int, env checkEnv, stats *Stats) *searchOutcome {
+func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, groups [][]int, targets []atomFilter, workers int, env checkEnv, stats *Stats) *searchOutcome {
 	var split *fdCompGraph
 	var branches []graph.CliqueBranch
 	n := len(groups)

@@ -16,7 +16,7 @@ import (
 // The content-addressed verdict cache (incremental.go) makes an
 // untouched component's SEARCH free, but a cold Check still pays O(n)
 // before searching anything: the liveness filter, the Θ-bucket pass of
-// indQComponents, and a cache lookup per component. The sweep removes
+// the ind-q split (indQSplit), and a cache lookup per component. The sweep removes
 // that last O(n): for queries whose ind-q split provably equals the
 // Monitor's maintained Θ_I partition, it keeps a per-query map from
 // component root to verdict and, on each Check, reconciles only the
@@ -26,8 +26,8 @@ import (
 //
 // Eligibility is decided on the SIMPLIFIED query (Simplify can change
 // the atom structure): the query must be connected, contribute no Θ_q
-// equality constraints, and have no atom pairs — so indQComponents
-// would add no query edges and the state-bridge closure (gated on ≥3
+// equality constraints, and have no atom pairs — so the ind-q split
+// would add no query edges and its state-bridge closure (gated on ≥3
 // positive atoms reachable only through atom pairs) cannot run. Under
 // those conditions the ind-q components of the live subset are exactly
 // the maintained partition restricted to live members — except that a
@@ -142,7 +142,7 @@ func (sw *monitorSweeper) eligible(q *query.Query) bool {
 // under the Monitor's read lock, after cliqueDCSat's R-only check.
 func (sw *monitorSweeper) run(ctx context.Context, d *possible.DB, q *query.Query, opts Options, env checkEnv, res *Result) (bool, error) {
 	m := sw.m
-	var targets []coverTarget
+	var targets []atomFilter
 	if !opts.DisableCoverFilter {
 		targets = coverTargets(d, q)
 	}
@@ -294,7 +294,7 @@ func (sw *monitorSweeper) chooseWitness(st *sweepState, opts Options) []int {
 // computeRoot produces a fresh verdict for one component root: filter
 // the members by maintained liveness, apply the covers filter, and
 // search (through the content-addressed verdict cache) on survival.
-func (sw *monitorSweeper) computeRoot(ctx context.Context, d *possible.DB, q *query.Query, root int, targets []coverTarget, opts Options, env checkEnv, stats *Stats) (*sweepVerdict, error) {
+func (sw *monitorSweeper) computeRoot(ctx context.Context, d *possible.DB, q *query.Query, root int, targets []atomFilter, opts Options, env checkEnv, stats *Stats) (*sweepVerdict, error) {
 	m := sw.m
 	v := &sweepVerdict{stamp: m.parts.Stamp(root)}
 	members := m.parts.Members(root)

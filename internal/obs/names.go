@@ -124,6 +124,7 @@ const (
 	EvTenantRegister   = "tenant_register"
 	EvTenantDeregister = "tenant_deregister"
 	EvServerDrain      = "server_drain"
+	EvServerPanic      = "server_panic"
 )
 
 // knownMetricNames lists every canonical metric name. names_test.go
@@ -162,7 +163,7 @@ var knownEventNames = []string{
 	EvMonitorCommitExternal, EvMonitorCacheClear, EvMempoolAccept,
 	EvMempoolReject, EvMempoolEvict, EvMinerBlock, EvGossipSend,
 	EvGossipRecv, EvDatasetGenerated, EvAttribOverflow, EvAdmitDecision,
-	EvTenantRegister, EvTenantDeregister, EvServerDrain,
+	EvTenantRegister, EvTenantDeregister, EvServerDrain, EvServerPanic,
 }
 
 // KnownMetricNames returns the canonical metric-name table as a set.
