@@ -25,7 +25,8 @@ import (
 // across evaluations: slot array, per-depth index-key buffers, and
 // per-depth probe closures. With warm view indexes the hot loop
 // allocates nothing — index keys are built into reusable buffers and
-// probed with the non-allocating map[string(buf)] form.
+// probed through View.LookupKey, which hashes and compares them in
+// place.
 
 // keyPart is one column of an index-lookup or negation key: either a
 // pre-normalized constant or a slot whose runtime value is normalized

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"testing"
 
 	"blockchaindb/internal/value"
@@ -104,8 +105,11 @@ func TestRelationInsertDedup(t *testing.T) {
 func TestRelationIndexMaintainedAcrossInserts(t *testing.T) {
 	r := NewRelation(txOutSchema())
 	pkCol := []int{2}
+	key := []byte(value.NewTuple(value.Str("A")).Key())
 	// Build the index while empty, then insert: index must stay correct.
-	r.EnsureIndex(pkCol)
+	if got := len(lookupAll(r, pkCol, key)); got != 0 {
+		t.Fatalf("empty relation found %d tuples", got)
+	}
 	for i := 0; i < 10; i++ {
 		pk := "A"
 		if i%2 == 1 {
@@ -113,15 +117,20 @@ func TestRelationIndexMaintainedAcrossInserts(t *testing.T) {
 		}
 		r.MustInsert(value.NewTuple(value.Int(int64(i)), value.Int(0), value.Str(pk), value.Float(1)))
 	}
-	key := value.NewTuple(value.Str("A")).Key()
-	if got := len(r.Lookup(pkCol, key)); got != 5 {
-		t.Errorf("Lookup(A) found %d tuples, want 5", got)
+	got := lookupAll(r, pkCol, key)
+	if len(got) != 5 {
+		t.Errorf("Lookup(A) found %d tuples, want 5", len(got))
+	}
+	for i, tup := range got {
+		if tup[0].AsInt() != int64(2*i) {
+			t.Errorf("Lookup(A)[%d] = %v, want insertion order", i, tup)
+		}
 	}
 	// Index built after inserts must agree.
 	r2 := NewRelation(txOutSchema())
 	r.Scan(func(t value.Tuple) bool { r2.MustInsert(t); return true })
-	if got := len(r2.Lookup(pkCol, key)); got != 5 {
-		t.Errorf("lazily built index found %d tuples, want 5", got)
+	if got2 := lookupAll(r2, pkCol, key); fmt.Sprint(got2) != fmt.Sprint(got) {
+		t.Errorf("lazily built index found %v, want %v", got2, got)
 	}
 }
 

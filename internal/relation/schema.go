@@ -14,7 +14,6 @@ package relation
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"blockchaindb/internal/value"
@@ -176,17 +175,5 @@ func (s *Schema) String() string {
 		}
 	}
 	b.WriteByte(')')
-	return b.String()
-}
-
-// colSignature identifies an index over a column set.
-func colSignature(cols []int) string {
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(c))
-	}
 	return b.String()
 }

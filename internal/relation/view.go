@@ -17,8 +17,8 @@ type View interface {
 	Lookup(rel string, cols []int, projKey string, f func(value.Tuple) bool) bool
 	// LookupKey is Lookup with the projection key as a byte buffer
 	// (value.Tuple.AppendProjectKey encoding); implementations probe
-	// with the non-allocating map[string(key)] form so hot loops can
-	// reuse one buffer across probes.
+	// without allocating, so hot loops can reuse one buffer across
+	// probes.
 	LookupKey(rel string, cols []int, projKey []byte, f func(value.Tuple) bool) bool
 	// Contains reports whether the exact tuple is present.
 	Contains(rel string, t value.Tuple) bool

@@ -63,6 +63,30 @@ func (t Tuple) AppendProjectKey(dst []byte, cols []int) []byte {
 	return dst
 }
 
+// HasKey reports whether key is exactly the tuple's Key encoding,
+// comparing in place: nothing is encoded or allocated.
+func (t Tuple) HasKey(key []byte) bool {
+	for _, v := range t {
+		var ok bool
+		if key, ok = v.trimKey(key); !ok {
+			return false
+		}
+	}
+	return len(key) == 0
+}
+
+// HasProjectKey reports whether key is exactly the Key encoding of the
+// projection on cols — HasKey for ProjectKey.
+func (t Tuple) HasProjectKey(cols []int, key []byte) bool {
+	for _, c := range cols {
+		var ok bool
+		if key, ok = t[c].trimKey(key); !ok {
+			return false
+		}
+	}
+	return len(key) == 0
+}
+
 // Equal reports element-wise equality under the values' total order.
 func (t Tuple) Equal(o Tuple) bool {
 	if len(t) != len(o) {

@@ -97,6 +97,36 @@ func TestTupleKeyInjective(t *testing.T) {
 	}
 }
 
+// TestTupleHasKey: comparing in place agrees with comparing encodings,
+// for whole tuples and projections, including truncated and extended
+// keys.
+func TestTupleHasKey(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, b := randomTuple(r), randomTuple(r)
+		if bKey := b.AppendKey(nil); a.HasKey(bKey) != (a.Key() == string(bKey)) {
+			return false
+		}
+		key := a.AppendKey(nil)
+		if !a.HasKey(key) || a.HasKey(append(key, 0)) || len(key) > 0 && a.HasKey(key[:len(key)-1]) {
+			return false
+		}
+		if len(a) == 0 {
+			return true
+		}
+		cols := []int{r.Intn(len(a)), r.Intn(len(a))}
+		key = a.AppendProjectKey(nil, cols)
+		if !a.HasProjectKey(cols, key) || a.HasProjectKey(cols[:1], key) {
+			return false
+		}
+		other := b.AppendKey(nil)
+		return a.HasProjectKey(cols, other) == (string(key) == string(other))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTupleString(t *testing.T) {
 	tp := NewTuple(Int(1), Str("x"))
 	if got := tp.String(); got != "(1, 'x')" {

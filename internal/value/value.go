@@ -8,6 +8,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -275,6 +276,37 @@ func (v Value) appendKey(dst []byte) []byte {
 		dst = append(dst, v.s...)
 	}
 	return dst
+}
+
+// trimKey reports whether key begins with v's key encoding and, if so,
+// returns the remainder after it.
+func (v Value) trimKey(key []byte) ([]byte, bool) {
+	if len(key) == 0 || key[0] != byte(v.kind) {
+		return nil, false
+	}
+	key = key[1:]
+	switch v.kind {
+	case KindNull:
+		return key, true
+	case KindBool, KindInt:
+		return trimUint64(key, uint64(v.i))
+	case KindFloat:
+		return trimUint64(key, math.Float64bits(v.f))
+	case KindString:
+		key, ok := trimUint64(key, uint64(len(v.s)))
+		if !ok || len(key) < len(v.s) || string(key[:len(v.s)]) != v.s {
+			return nil, false
+		}
+		return key[len(v.s):], true
+	}
+	return nil, false
+}
+
+func trimUint64(key []byte, u uint64) ([]byte, bool) {
+	if len(key) < 8 || binary.BigEndian.Uint64(key) != u {
+		return nil, false
+	}
+	return key[8:], true
 }
 
 func appendUint64(dst []byte, u uint64) []byte {
