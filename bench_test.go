@@ -605,9 +605,9 @@ func TestFig6aAllocGuard(t *testing.T) {
 // maximal cliques. The query never matches, so the walk is exhaustive
 // (every clique's maximal world is visited), and the precheck is
 // disabled so the measured cost is the clique search itself. The
-// from-scratch ablation rebuilds the 150-member prefix for each of the
-// 64 worlds; the incremental path builds it once and extends by one
-// spender per Bron–Kerbosch edge.
+// from-scratch baseline (fig6bFromScratch) rebuilds the 150-member
+// prefix for each of the 64 worlds; the incremental path builds it
+// once and extends by one spender per Bron–Kerbosch edge.
 func fig6bIncrementalSetup() (*possible.DB, *query.Query, core.Options) {
 	const fillers, groups, spenders = 150, 3, 4
 	s := fixture.BitcoinSchema()
@@ -641,28 +641,60 @@ func fig6bIncrementalSetup() (*possible.DB, *query.Query, core.Options) {
 	return d, q, core.Options{Algorithm: core.AlgoNaive, DisablePrecheck: true}
 }
 
+// fig6bFromScratch is the baseline the incremental clique search is
+// measured against: it walks the maximal cliques of G^fd_T and, for
+// each, rebuilds the clique's maximal world with one reused
+// MaximalScratch and evaluates the compiled plan on it in full. It
+// reports whether some world satisfies q.
+func fig6bFromScratch(d *possible.DB, q *query.Query) (bool, error) {
+	plan, err := query.PlanFor(q, d.State)
+	if err != nil {
+		return false, err
+	}
+	var ms possible.MaximalScratch
+	sc := query.NewScratch()
+	hit := false
+	graph.MaximalCliques(core.FDGraph(d), func(clique []int) bool {
+		world, _ := d.GetMaximalScratch(&ms, clique)
+		hit, err = plan.Eval(world, sc)
+		return !hit && err == nil
+	})
+	return hit, err
+}
+
+// fig6bModes returns the two sides BenchmarkFig6bIncremental and
+// TestFig6bIncrementalGuard compare on the Fig 6b workload: the
+// incremental Check and the from-scratch baseline. Each reports
+// whether some world violates the constraint.
+func fig6bModes() (incremental, scratch func() (bool, error)) {
+	d, q, opts := fig6bIncrementalSetup()
+	incremental = func() (bool, error) {
+		res, err := core.Check(context.Background(), d, q, opts)
+		return err == nil && !res.Satisfied, err
+	}
+	scratch = func() (bool, error) { return fig6bFromScratch(d, q) }
+	return incremental, scratch
+}
+
 // BenchmarkFig6bIncremental measures the incremental world maintenance
-// along the Bron–Kerbosch recursion against the from-scratch ablation
-// on the Fig 6b contention workload: same query, same search tree, the
-// only difference being whether each clique's world is extended in
+// along the Bron–Kerbosch recursion against the from-scratch baseline
+// on the Fig 6b contention workload: same query, same maximal cliques,
+// the only difference being whether each clique's world is extended in
 // place (push/pop + delta re-probe) or rebuilt and fully re-evaluated.
 func BenchmarkFig6bIncremental(b *testing.B) {
-	d, q, opts := fig6bIncrementalSetup()
+	incremental, scratch := fig6bModes()
 	for _, mode := range []struct {
 		name string
-		off  bool
-	}{{"incremental", false}, {"from-scratch", true}} {
+		run  func() (bool, error)
+	}{{"incremental", incremental}, {"from-scratch", scratch}} {
 		b.Run(mode.name, func(b *testing.B) {
-			o := opts
-			o.DisableIncrementalWorlds = mode.off
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Check(context.Background(), d, q, o)
+				violated, err := mode.run()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !res.Satisfied {
+				if violated {
 					b.Fatal("verdict flipped: the exhaustive walk found a violation")
 				}
 			}
@@ -672,42 +704,40 @@ func BenchmarkFig6bIncremental(b *testing.B) {
 
 // TestFig6bIncrementalGuard is the CI bench-smoke guard for the
 // incremental clique search: on the Fig 6b workload the incremental
-// mode must beat the from-scratch ablation by more than 1.5x
+// Check must beat the from-scratch baseline by more than 1.5x
 // (min-of-3 each, interleaved so load drift hits both sides). Gated
 // behind BENCH_GUARD like the other timing guards.
 func TestFig6bIncrementalGuard(t *testing.T) {
 	if os.Getenv("BENCH_GUARD") == "" {
 		t.Skip("set BENCH_GUARD=1 to run the Fig6b incremental guard")
 	}
-	d, q, opts := fig6bIncrementalSetup()
-	off := opts
-	off.DisableIncrementalWorlds = true
-	run := func(o core.Options) time.Duration {
+	incremental, scratch := fig6bModes()
+	timed := func(run func() (bool, error)) time.Duration {
 		start := time.Now()
-		res, err := core.Check(context.Background(), d, q, o)
+		violated, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Satisfied {
+		if violated {
 			t.Fatal("verdict flipped: the exhaustive walk found a violation")
 		}
 		return time.Since(start)
 	}
 	// Warm up both paths (plan compile, lazy index builds).
-	run(opts)
-	run(off)
-	inc, scratch := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	timed(incremental)
+	timed(scratch)
+	inc, base := time.Duration(1<<63-1), time.Duration(1<<63-1)
 	for i := 0; i < 3; i++ {
-		if d := run(opts); d < inc {
+		if d := timed(incremental); d < inc {
 			inc = d
 		}
-		if d := run(off); d < scratch {
-			scratch = d
+		if d := timed(scratch); d < base {
+			base = d
 		}
 	}
-	t.Logf("incremental=%v from-scratch=%v speedup=%.1fx", inc, scratch, float64(scratch)/float64(inc))
-	if inc*3/2 > scratch {
-		t.Fatalf("incremental %v is within 1.5x of from-scratch %v — the delta path regressed", inc, scratch)
+	t.Logf("incremental=%v from-scratch=%v speedup=%.1fx", inc, base, float64(base)/float64(inc))
+	if inc*3/2 > base {
+		t.Fatalf("incremental %v is within 1.5x of from-scratch %v — the delta path regressed", inc, base)
 	}
 }
 

@@ -107,15 +107,6 @@ type Options struct {
 	// DisableCoverFilter skips OptDCSat's constant-coverage filter.
 	// Ablation only.
 	DisableCoverFilter bool
-	// DisableLiveFilter keeps fd-dead pending transactions in the
-	// clique graphs. Ablation only.
-	DisableLiveFilter bool
-	// DisableIncrementalWorlds makes the Bron–Kerbosch walk evaluate
-	// every maximal clique's world from scratch at its leaf instead of
-	// extending one world incrementally along the recursion (delta
-	// join orders, and an accumulator for monotone aggregates), at any
-	// Workers. Ablation and differential testing only.
-	DisableIncrementalWorlds bool
 	// Workers > 1 runs the clique search's work queue on that many
 	// goroutines; otherwise it runs inline on the caller. The units
 	// are the ind-q components, or, when the search has a single
@@ -147,7 +138,7 @@ type Stats struct {
 	Cliques           int  // maximal cliques enumerated
 	WorldsEvaluated   int  // worlds the query was evaluated on
 	WorldsIncremental int  // worlds extended in place along the clique tree (delta re-probe)
-	WorldsRebuilt     int  // worlds materialized from scratch (tree roots and from-scratch leaves)
+	WorldsRebuilt     int  // worlds materialized from scratch (one per clique-tree root)
 	Duration          time.Duration
 
 	// Cost-attribution counters (obs.CostVector sources): compiled-plan
@@ -369,11 +360,13 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 	// Compile the simplified query once per check; every per-world
 	// evaluation below reuses this plan (schema pointers are shared by
 	// all overlays over d.State, so it stays valid for every world).
-	if plan, perr := query.PlanFor(q, d.State); perr == nil {
-		env.plan = plan
-		span.SetAttr("plan", plan.OrderSummary())
+	// Compile fails only where CheckAgainst does, which passed above.
+	plan, err := query.PlanFor(q, d.State)
+	if err != nil {
+		return nil, err
 	}
-	env.incremental = env.plan != nil && env.plan.SupportsDelta() && !opts.DisableIncrementalWorlds
+	env.plan = plan
+	span.SetAttr("plan", plan.OrderSummary())
 	algo := opts.Algorithm
 	if algo == AlgoAuto {
 		switch {
@@ -388,10 +381,7 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 		}
 	}
 	span.SetAttr("algorithm", algo.String())
-	var (
-		res *Result
-		err error
-	)
+	var res *Result
 	switch algo {
 	case AlgoNaive:
 		res, err = cliqueDCSat(ctx, d, q, opts, false, env)
@@ -521,16 +511,13 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 			return res, nil
 		}
 	}
-	live := allPending(d)
-	if !opts.DisableLiveFilter {
-		_, liveSpan := obs.Start(ctx, "live_filter")
-		liveStart := time.Now()
-		live = liveTransactions(d)
-		res.Stats.LiveFilterDur = time.Since(liveStart)
-		liveSpan.SetAttr("live", len(live))
-		liveSpan.SetAttr("pending", len(d.Pending))
-		liveSpan.End()
-	}
+	_, liveSpan := obs.Start(ctx, "live_filter")
+	liveStart := time.Now()
+	live := liveTransactions(d)
+	res.Stats.LiveFilterDur = time.Since(liveStart)
+	liveSpan.SetAttr("live", len(live))
+	liveSpan.SetAttr("pending", len(d.Pending))
+	liveSpan.End()
 	res.Stats.LivePending = len(live)
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -624,72 +611,48 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 
 // cliqueSearch walks one component's Bron–Kerbosch tree, or one
 // branch of it, and evaluates the query on the maximal world of each
-// maximal clique. It has two modes, both graph.MaximalCliquesVisitor
-// walks. The incremental mode (beginIncremental plus cliqueSearch's
-// own visitor methods) maintains ONE world along the recursion: each
-// Descend pushes a transaction onto a possible.WorldStack and
-// enumerates only the assignments touching the delta, through the
-// plan's delta-first join orders; an aggregate folds them into an
-// accumulator that each Ascend restores along with the world. Leaves
-// cost nothing — their worlds were already evaluated edge by edge on
-// the way down. It serves every monotone query (Plan.SupportsDelta),
-// aggregates included. The from-scratch mode (fromScratch) is a Leaf
-// evaluator that materializes and evaluates each maximal world anew;
-// it serves only checks without a compiled plan and the
-// DisableIncrementalWorlds ablation.
+// maximal clique. It is a graph.MaximalCliquesVisitor that maintains
+// ONE world along the recursion: beginIncremental materializes the
+// root world of the component's universal members, each Descend
+// pushes a transaction onto a possible.WorldStack and enumerates only
+// the assignments touching the delta, through the plan's delta-first
+// join orders; an aggregate folds them into an accumulator that each
+// Ascend restores along with the world. Leaves cost nothing — their
+// worlds were already evaluated edge by edge on the way down. Every
+// query the clique algorithms accept is monotone, so every plan
+// supports this delta evaluation (Plan.SupportsDelta).
 //
 // Not safe for concurrent use — parallel searches give each unit its
 // own instance (and each worker its own Stats, merged afterwards).
 type cliqueSearch struct {
-	ctx         context.Context
-	d           *possible.DB
-	q           *query.Query
-	g           *graph.Undirected // the component's fd graph over its conflicted members
-	comp        []int             // conflicted members, in g's vertex order
-	base        []int             // universal members: part of EVERY maximal world of the component
-	stats       *Stats
-	incremental bool // see checkEnv.incremental
-	violated    bool
-	witness     []int
-	err         error // evaluation error, or the context's error
-	evalDur     time.Duration
+	ctx      context.Context
+	d        *possible.DB
+	g        *graph.Undirected // the component's fd graph over its conflicted members
+	comp     []int             // conflicted members, in g's vertex order
+	base     []int             // universal members: part of EVERY maximal world of the component
+	stats    *Stats
+	violated bool
+	witness  []int
+	err      error // evaluation error, or the context's error
+	evalDur  time.Duration
 
-	// Per-search hot-loop state: the compiled plan (nil falls back to
-	// query.Eval's cached-plan path), its evaluation scratch, the
-	// getMaximal scratch whose overlay is reset — not rebuilt — between
-	// worlds, and the clique-to-global index buffer. These make the
-	// per-world loop allocation-free after warm-up.
-	plan   *query.Plan
-	sc     *query.Scratch
-	ms     possible.MaximalScratch
-	subset []int
-
-	// Incremental-mode state: the world stack the recursion pushes and
-	// pops, the aggregate accumulator that follows it, the plan's
-	// relation list, and the per-edge floor buffer (overlay extra counts
-	// captured just before a Push, consumed immediately by EvalDelta).
+	// Walk state: the compiled plan and its evaluation scratch, the
+	// world stack the recursion pushes and pops, the aggregate
+	// accumulator that follows it, the plan's relation list, and the
+	// per-edge floor buffer (overlay extra counts captured just before
+	// a Push, consumed immediately by EvalDelta).
+	plan     *query.Plan
+	sc       *query.Scratch
 	ws       possible.WorldStack
 	acc      query.Acc
 	relNames []string
 	floorBuf []int
 }
 
-// eval evaluates the query on one world through the compiled plan when
-// the check carries one, falling back to the plan-cache path.
-func (s *cliqueSearch) eval(world relation.View) (bool, error) {
-	if s.plan == nil {
-		return query.Eval(s.q, world)
-	}
-	if s.sc == nil {
-		s.sc = query.NewScratch()
-	}
-	return s.plan.Eval(world, s.sc)
-}
-
 // newCliqueSearch prepares a search over one component's fd graph.
-func newCliqueSearch(ctx context.Context, d *possible.DB, q *query.Query, cg *fdCompGraph, env checkEnv, stats *Stats) *cliqueSearch {
-	return &cliqueSearch{ctx: ctx, d: d, q: q, g: cg.g, comp: cg.conflicted, base: cg.universal,
-		stats: stats, plan: env.plan, incremental: env.incremental}
+func newCliqueSearch(ctx context.Context, d *possible.DB, cg *fdCompGraph, env checkEnv, stats *Stats) *cliqueSearch {
+	return &cliqueSearch{ctx: ctx, d: d, g: cg.g, comp: cg.conflicted, base: cg.universal,
+		stats: stats, plan: env.plan, sc: query.NewScratch(), relNames: env.plan.RelNames()}
 }
 
 // walk searches the subtree under branch b and reports the first
@@ -698,16 +661,12 @@ func newCliqueSearch(ctx context.Context, d *possible.DB, q *query.Query, cg *fd
 func (s *cliqueSearch) walk(b graph.CliqueBranch) *searchOutcome {
 	enumStart := time.Now()
 	var ctxErr error
-	if !s.incremental {
-		ctxErr = graph.MaximalCliquesBranchVisit(s.ctx, s.g, b, fromScratch{s})
-	} else if s.beginIncremental() {
+	if s.beginIncremental() {
 		ctxErr = graph.MaximalCliquesBranchVisit(s.ctx, s.g, b, s)
 	}
 	s.stats.CliqueDur += time.Since(enumStart) - s.evalDur
 	s.stats.EvalDur += s.evalDur
-	if s.sc != nil {
-		s.stats.PlanProbes += s.sc.TotalProbes()
-	}
+	s.stats.PlanProbes += s.sc.TotalProbes()
 	switch {
 	case s.violated:
 		return &searchOutcome{hit: true, witness: s.witness}
@@ -717,53 +676,6 @@ func (s *cliqueSearch) walk(b graph.CliqueBranch) *searchOutcome {
 		return &searchOutcome{err: ctxErr}
 	}
 	return nil
-}
-
-// fromScratch is cliqueSearch's from-scratch mode: tree edges cost
-// nothing, and each Leaf — whose r is the clique's path — materializes
-// the clique's maximal world and evaluates the query on it. Time spent
-// in Leaf accrues to EvalDur; the rest of the walk to CliqueDur.
-type fromScratch struct{ *cliqueSearch }
-
-func (fromScratch) Descend(int) bool { return true }
-func (fromScratch) Ascend()          {}
-
-func (s fromScratch) Leaf(clique []int) bool {
-	// Worlds can take milliseconds each; poll between them so a
-	// deadline interrupts the evaluation loop, not just the tree walk.
-	if err := s.ctx.Err(); err != nil {
-		s.err = err
-		return false
-	}
-	s.stats.Cliques++
-	evalStart := time.Now()
-	// The base prefix is seeded once per search; each clique rewrites
-	// only the suffix after it.
-	if s.subset == nil {
-		s.subset = append(make([]int, 0, len(s.base)+len(clique)), s.base...)
-	}
-	subset := s.subset[:len(s.base)]
-	for _, local := range clique {
-		subset = append(subset, s.comp[local])
-	}
-	s.subset = subset[:len(s.base)]
-	world, included := s.d.GetMaximalScratch(&s.ms, subset)
-	s.stats.WorldsEvaluated++
-	s.stats.WorldsRebuilt++
-	hit, err := s.eval(world)
-	keepGoing := true
-	switch {
-	case err != nil:
-		s.err = err
-		keepGoing = false
-	case hit:
-		s.violated = true
-		s.witness = append([]int(nil), included...)
-		sort.Ints(s.witness)
-		keepGoing = false
-	}
-	s.evalDur += time.Since(evalStart)
-	return keepGoing
 }
 
 // markHit records a violating world found by the incremental walk: the
@@ -789,10 +701,6 @@ func (s *cliqueSearch) beginIncremental() bool {
 		s.err = err
 		return false
 	}
-	if s.sc == nil {
-		s.sc = query.NewScratch()
-	}
-	s.relNames = s.plan.RelNames()
 	evalStart := time.Now()
 	world, included := s.ws.Rebase(s.d, s.base)
 	s.stats.WorldsRebuilt++

@@ -396,7 +396,6 @@ func TestCliqueAlgorithmsAgainstExhaustive(t *testing.T) {
 		for _, opts := range []Options{
 			{Algorithm: AlgoNaive},
 			{Algorithm: AlgoNaive, DisablePrecheck: true},
-			{Algorithm: AlgoNaive, DisableLiveFilter: true},
 			{Algorithm: AlgoOpt},
 			{Algorithm: AlgoOpt, DisablePrecheck: true},
 			{Algorithm: AlgoOpt, DisableCoverFilter: true},

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"bytes"
+	"encoding/binary"
 	"sort"
 	"sync"
 	"time"
 
-	"blockchaindb/internal/graph"
 	"blockchaindb/internal/obs"
 	"blockchaindb/internal/query"
 )
@@ -18,21 +17,21 @@ import (
 // changes the membership of at most a few ind-q components — the rest
 // re-enter cliqueDCSat only to redo a search whose inputs are
 // byte-identical to the previous tick's. The incremental layer caches
-// per-component verdicts under a content-addressed key:
+// per-component verdicts under the key
 //
-//	key = query fingerprint × component fingerprint
+//	key = query fingerprint × component member ids
 //
 // where the query fingerprint is the simplified query's canonical
-// string and the component fingerprint hashes the member transactions'
-// contents (possible.TxDigest folded through graph.ComponentHash).
-// Because the key is derived from content, AddPending/DropPending
-// invalidate exactly the components whose membership changed — a
-// changed component hashes to a new fingerprint and simply misses; the
-// untouched components hit and skip graph build, clique enumeration,
-// and world evaluation entirely. Commit mutates the state R that every
-// per-component search reads (GetMaximal overlays, liveness, the
-// R-side of fd conflicts), so it clears the cache outright rather than
-// guess which verdicts survive.
+// string and the member ids are the Monitor's external ids, sorted.
+// Ids identify content: the Monitor never reuses an id and a pending
+// transaction is immutable once added, so equal ids mean equal
+// members. AddPending/DropPending therefore invalidate exactly the
+// components whose membership changed — a changed component has a new
+// id set and simply misses; the untouched components hit and skip
+// graph build, clique enumeration, and world evaluation entirely.
+// Commit mutates the state R that every per-component search reads
+// (GetMaximal overlays, liveness, the R-side of fd conflicts), so it
+// clears the cache outright rather than guess which verdicts survive.
 //
 // Soundness boundaries, in one place:
 //
@@ -44,12 +43,10 @@ import (
 //     always records a real search, never a filtered skip.
 //   - Verdicts are stored only on error-free searches: a component cut
 //     short by cancellation has proven nothing and caches nothing.
-//   - Witnesses are stored as positions in the digest-sorted member
-//     ordering, not as slot indexes — slots are rewritten by the
-//     DropPending/Commit swap-with-last compaction, but the
-//     digest-sorted ordering is reproducible from content alone, so a
-//     hit re-maps the witness onto whatever slots the members occupy
-//     now.
+//   - Witnesses are stored as external ids, as the sweep stores them,
+//     not as slot indexes — slots are rewritten by the
+//     DropPending/Commit swap-with-last compaction, so a hit maps the
+//     ids onto whatever slots the members occupy now.
 
 // componentCache is what cliqueDCSat needs from a verdict cache: given
 // the query fingerprint and a component (global pending indexes),
@@ -74,19 +71,13 @@ type checkEnv struct {
 	qfp        string
 	plan       *query.Plan
 	checkID    uint64
-	// incremental selects the visitor-driven clique search that extends
-	// each world in place along the Bron–Kerbosch recursion (plan
-	// present, delta-eligible query, ablation flag off); false falls
-	// back to from-scratch materialization per maximal clique.
-	incremental bool
 }
 
-// verdictEntry is one cached per-component outcome. witnessPos is
-// meaningful only when violated: positions into the component's
-// digest-sorted member ordering (see monitorCacheView.canonical).
+// verdictEntry is one cached per-component outcome. witness holds
+// external ids, set only when violated.
 type verdictEntry struct {
-	violated   bool
-	witnessPos []int
+	violated bool
+	witness  []int
 }
 
 // verdictCache is a bounded FIFO map guarded by its own mutex — Checks
@@ -196,79 +187,52 @@ type CacheStats struct {
 }
 
 // monitorCacheView adapts a Monitor to the componentCache interface.
-// It is created per Check under the read lock, so m.digests and the
+// It is created per Check under the read lock, so m.ids, m.byID and the
 // slot layout are frozen for its lifetime; only the verdictCache
 // itself (internally locked) is shared across concurrent Checks.
 type monitorCacheView struct {
 	m *Monitor
 }
 
-// canonical orders the component's slots by member digest (slot index
-// breaking exact-duplicate ties) and returns the content fingerprint
-// plus that ordering. The ordering is the coordinate system cached
-// witnesses live in: position i always means "the i-th member in
-// digest order", whatever slots the members occupy at hit time.
-func (v monitorCacheView) canonical(comp []int) ([16]byte, []int) {
-	m := v.m
-	ordered := append([]int(nil), comp...)
-	sort.Slice(ordered, func(i, j int) bool {
-		di, dj := m.digests[ordered[i]], m.digests[ordered[j]]
-		if c := bytes.Compare(di[:], dj[:]); c != 0 {
-			return c < 0
-		}
-		return ordered[i] < ordered[j]
-	})
-	members := make([][16]byte, len(ordered))
-	for i, slot := range ordered {
-		members[i] = m.digests[slot]
+// cacheKey is the query fingerprint followed by the component's
+// external ids, sorted and uvarint-encoded. The encoding is exact — a
+// hash collision would replay another component's verdict.
+func (v monitorCacheView) cacheKey(qfp string, comp []int) string {
+	ids := make([]int, len(comp))
+	for i, slot := range comp {
+		ids[i] = v.m.ids[slot]
 	}
-	return graph.ComponentHash(members), ordered
-}
-
-func cacheKey(qfp string, fp [16]byte) string {
-	return qfp + "\x00" + string(fp[:])
+	sort.Ints(ids)
+	key := append(make([]byte, 0, len(qfp)+1+2*len(ids)), qfp...)
+	key = append(key, 0)
+	for _, id := range ids {
+		key = binary.AppendUvarint(key, uint64(id))
+	}
+	return string(key)
 }
 
 func (v monitorCacheView) lookup(qfp string, comp []int) (bool, []int, bool) {
-	fp, ordered := v.canonical(comp)
-	e, ok := v.m.cache.get(cacheKey(qfp, fp))
-	if !ok {
-		return false, nil, false
+	e, ok := v.m.cache.get(v.cacheKey(qfp, comp))
+	if !ok || !e.violated {
+		return false, nil, ok
 	}
-	if !e.violated {
-		return false, nil, true
-	}
-	witness := make([]int, len(e.witnessPos))
-	for i, p := range e.witnessPos {
-		if p < 0 || p >= len(ordered) {
-			// Impossible without a fingerprint collision; treat as a miss
-			// rather than fabricate slots.
-			return false, nil, false
-		}
-		witness[i] = ordered[p]
+	witness := make([]int, len(e.witness))
+	for i, id := range e.witness {
+		witness[i] = v.m.byID[id]
 	}
 	sort.Ints(witness)
 	return true, witness, true
 }
 
 func (v monitorCacheView) store(qfp string, comp []int, violated bool, witness []int) {
-	fp, ordered := v.canonical(comp)
-	var pos []int
+	var ids []int
 	if violated {
-		rank := make(map[int]int, len(ordered))
-		for i, slot := range ordered {
-			rank[slot] = i
-		}
-		pos = make([]int, len(witness))
-		for i, w := range witness {
-			r, ok := rank[w]
-			if !ok {
-				return // witness outside the component: do not cache
-			}
-			pos[i] = r
+		ids = make([]int, len(witness))
+		for i, slot := range witness {
+			ids[i] = v.m.ids[slot]
 		}
 	}
-	v.m.cache.put(cacheKey(qfp, fp), verdictEntry{violated: violated, witnessPos: pos})
+	v.m.cache.put(v.cacheKey(qfp, comp), verdictEntry{violated: violated, witness: ids})
 }
 
 // cached replays a component's verdict from the cache (journaled as

@@ -56,8 +56,8 @@ func checkWitnessWorld(t *testing.T, m *Monitor, q *query.Query, witness []int) 
 // TestCacheHitReplaysWitnessAcrossCompaction: a violated component's
 // verdict and witness replay from cache even after DropPending's
 // swap-with-last compaction moved the witness transaction to a
-// different slot — cached witnesses are positions in the digest-sorted
-// member ordering, not slot indexes.
+// different slot — cached witnesses are external ids, not slot
+// indexes.
 func TestCacheHitReplaysWitnessAcrossCompaction(t *testing.T) {
 	m := NewMonitor(victimDB(t))
 	q := query.MustParse(victimQuery)
@@ -411,8 +411,7 @@ func TestConcurrentCheckAddPendingWithCache(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			opts := Options{
-				Algorithm: AlgoOpt, DisablePrecheck: true, DisableLiveFilter: true,
-				Workers: workers,
+				Algorithm: AlgoOpt, DisablePrecheck: true, Workers: workers,
 			}
 			for i := 0; i < 40; i++ {
 				if _, err := mon.Check(context.Background(), q, opts); err != nil {

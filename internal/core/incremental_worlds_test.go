@@ -18,9 +18,9 @@ import (
 
 // This file pins the incremental world maintenance along the
 // Bron–Kerbosch recursion (possible.WorldStack + query.EvalDelta +
-// the cliqueSearch visitor): the differential oracle against the
-// from-scratch path, the walk-level oracle against GetMaximalScratch
-// on real fd graphs, and a fuzz target over both.
+// the cliqueSearch visitor): the differential oracle against
+// exhaustive enumeration of Poss(D), the walk-level oracle against
+// GetMaximalScratch on real fd graphs, and a fuzz target over both.
 
 // incrementalQueries are monotone queries the incremental path
 // accepts (SupportsDelta): the differential suite's connected
@@ -44,18 +44,18 @@ var incrementalQueries = []string{
 	"q(max(t)) >= 3 :- TxOut(t, s, 'U3Pk', a)",
 }
 
-// TestIncrementalWorldsDifferential is the incremental-vs-from-scratch
-// oracle: on random Bitcoin-like databases the default (incremental)
-// clique search and the DisableIncrementalWorlds ablation must agree
-// on the verdict, serial and branch-parallel alike (the ablation's
-// from-scratch walk included), and any witness must be a reachable
+// TestIncrementalWorldsDifferential is the incremental clique search's
+// oracle: on random Bitcoin-like databases (at most 4 pending
+// transactions, so Poss(D) is small) NaiveDCSat and OptDCSat must
+// agree with exhaustive enumeration of every possible world, serial
+// and branch-parallel alike, and any witness must be a reachable
 // world that satisfies the query.
 func TestIncrementalWorldsDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		d := bitcoinLikeDB(r)
 		q := query.MustParse(incrementalQueries[r.Intn(len(incrementalQueries))])
-		want, err := Check(context.Background(), d, q, Options{Algorithm: AlgoOpt, DisableIncrementalWorlds: true})
+		want, err := Check(context.Background(), d, q, Options{Algorithm: AlgoExhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +64,6 @@ func TestIncrementalWorldsDifferential(t *testing.T) {
 			{Algorithm: AlgoNaive},
 			{Algorithm: AlgoOpt, Workers: 3},
 			{Algorithm: AlgoNaive, Workers: 3},
-			{Algorithm: AlgoOpt, Workers: 3, DisableIncrementalWorlds: true},
-			{Algorithm: AlgoNaive, Workers: 3, DisableIncrementalWorlds: true},
 			{Algorithm: AlgoOpt, DisablePrecheck: true},
 		} {
 			got, err := Check(context.Background(), d, q, opts)
@@ -73,7 +71,7 @@ func TestIncrementalWorldsDifferential(t *testing.T) {
 				t.Fatalf("opts %+v: %v", opts, err)
 			}
 			if got.Satisfied != want.Satisfied {
-				t.Logf("seed %d query %s opts %+v: incremental=%v from-scratch=%v",
+				t.Logf("seed %d query %s opts %+v: incremental=%v exhaustive=%v",
 					seed, q, opts, got.Satisfied, want.Satisfied)
 				return false
 			}
@@ -104,10 +102,9 @@ func TestIncrementalWorldsDifferential(t *testing.T) {
 }
 
 // TestIncrementalStatsSplit: the world-accounting counters reflect the
-// mode actually used — the incremental path reports extensions and a
-// single root rebuild per searched component, the ablation rebuilds
-// every world and never extends, and both agree on the per-leaf
-// headline counters.
+// incremental walk — extensions along the tree, a single root rebuild
+// for the one searched component, and one evaluated world per leaf
+// plus the state-only world.
 func TestIncrementalStatsSplit(t *testing.T) {
 	// Two committed outputs, five pending spenders: {T1,T3,T5} contend
 	// for output 1 and {T2,T4} for output 2, so the fd graph is the
@@ -139,25 +136,12 @@ func TestIncrementalStatsSplit(t *testing.T) {
 	if inc.Stats.WorldsIncremental == 0 {
 		t.Error("incremental run reported no in-place extensions")
 	}
-	optsOff := opts
-	optsOff.DisableIncrementalWorlds = true
-	scratch, err := Check(context.Background(), d, q, optsOff)
-	if err != nil {
-		t.Fatal(err)
+	if inc.Stats.WorldsRebuilt != 1 {
+		t.Errorf("incremental run reported %d root rebuilds, want 1 (one component)", inc.Stats.WorldsRebuilt)
 	}
-	if inc.Stats.Cliques != scratch.Stats.Cliques || inc.Stats.WorldsEvaluated != scratch.Stats.WorldsEvaluated {
-		t.Errorf("headline stats diverged: incremental cliques=%d worlds=%d, from-scratch cliques=%d worlds=%d",
-			inc.Stats.Cliques, inc.Stats.WorldsEvaluated, scratch.Stats.Cliques, scratch.Stats.WorldsEvaluated)
-	}
-	if inc.Stats.WorldsRebuilt == 0 {
-		t.Error("incremental run reported no root rebuilds")
-	}
-	if scratch.Stats.WorldsIncremental != 0 {
-		t.Errorf("ablation reported %d incremental extensions", scratch.Stats.WorldsIncremental)
-	}
-	if scratch.Stats.WorldsRebuilt != scratch.Stats.Cliques {
-		t.Errorf("ablation: WorldsRebuilt=%d but Cliques=%d (every clique world should be built from scratch)",
-			scratch.Stats.WorldsRebuilt, scratch.Stats.Cliques)
+	if inc.Stats.WorldsEvaluated != inc.Stats.Cliques+1 {
+		t.Errorf("WorldsEvaluated=%d, want %d (one per clique plus the state alone)",
+			inc.Stats.WorldsEvaluated, inc.Stats.Cliques+1)
 	}
 }
 

@@ -32,7 +32,7 @@ var (
 	// the histogram records the recursion depth at which each in-place
 	// extension happened — deeper means more shared prefix work per world.
 	mWorldsIncremental = obs.DefaultWindows.Counter(obs.MetricWorldsIncremental, "worlds extended in place along the clique tree (delta re-probe)")
-	mWorldsRebuilt     = obs.DefaultWindows.Counter(obs.MetricWorldsRebuilt, "worlds materialized from scratch (tree roots and from-scratch leaves)")
+	mWorldsRebuilt     = obs.DefaultWindows.Counter(obs.MetricWorldsRebuilt, "worlds materialized from scratch (one per clique-tree root)")
 	hReuseDepth        = obs.DefaultWindows.Histogram(obs.MetricReuseDepth, "clique-tree depth of each incremental world extension")
 
 	// Incremental verdict cache (Monitor-owned; see incremental.go).
@@ -232,12 +232,6 @@ func optionsSummary(opts Options) string {
 	}
 	if opts.DisableCoverFilter {
 		parts = append(parts, "covers=off")
-	}
-	if opts.DisableLiveFilter {
-		parts = append(parts, "livefilter=off")
-	}
-	if opts.DisableIncrementalWorlds {
-		parts = append(parts, "incremental=off")
 	}
 	return strings.Join(parts, " ")
 }

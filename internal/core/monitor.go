@@ -28,8 +28,8 @@ import (
 //     dynamic union-find (graph.DynamicPartition); the query-specific
 //     Θ_q edges and the state-bridge closure are added per Check, as in
 //     the paper, seeded from the maintained partition;
-//   - content digests of the pending transactions, feeding the
-//     incremental verdict cache (incremental.go) and the per-query
+//   - the stable external ids of the pending transactions, which key
+//     the incremental verdict cache (incremental.go) and the per-query
 //     delta sweep (sweep.go) that let a Check replay per-component
 //     verdicts untouched by the latest deltas.
 //
@@ -50,12 +50,11 @@ import (
 // longer than its own search: mutations queue behind it, not inside
 // it.
 type Monitor struct {
-	mu      sync.RWMutex
-	db      *possible.DB
-	ids     []int             // stable external id per pending slot
-	digests []possible.Digest // content digest per pending slot (parallel to ids)
-	next    int
-	byID    map[int]int // external id -> slot in db.Pending
+	mu   sync.RWMutex
+	db   *possible.DB
+	ids  []int // stable external id per pending slot; never reused
+	next int
+	byID map[int]int // external id -> slot in db.Pending
 
 	// Maintained fd-conflict structure: per-FD lhs-key buckets for
 	// discovery, and the symmetric conflict adjacency (id -> id ->
@@ -224,7 +223,6 @@ func (m *Monitor) addLocked(tx *relation.Transaction) int {
 	m.byID[id] = len(m.db.Pending)
 	m.db.Pending = append(m.db.Pending, tx)
 	m.ids = append(m.ids, id)
-	m.digests = append(m.digests, possible.TxDigest(tx))
 	// Update fd buckets and conflict pairs.
 	for fdIdx := range m.db.Constraints.FDs {
 		lhsKeys, rhsKeys := m.db.Constraints.FDKeys(fdIdx, tx)
@@ -456,20 +454,18 @@ func (m *Monitor) removeLocked(id int) error {
 		}
 	}
 	// Compact the pending slice. The verdict cache is untouched: slot
-	// indexes never appear in cache keys or stored witnesses (both are
-	// content-addressed), so the swap-with-last rewrite below cannot
-	// stale an entry. Components that lost this member miss naturally —
-	// their fingerprint no longer includes its digest.
+	// indexes never appear in cache keys or stored witnesses (both hold
+	// external ids), so the swap-with-last rewrite below cannot stale
+	// an entry. Components that lost this member miss naturally — their
+	// key no longer includes its id.
 	last := len(m.db.Pending) - 1
 	if slot != last {
 		m.db.Pending[slot] = m.db.Pending[last]
 		m.ids[slot] = m.ids[last]
-		m.digests[slot] = m.digests[last]
 		m.byID[m.ids[slot]] = slot
 	}
 	m.db.Pending = m.db.Pending[:last]
 	m.ids = m.ids[:last]
-	m.digests = m.digests[:last]
 	delete(m.byID, id)
 	delete(m.appendable, id)
 	delete(m.selfOK, id)
@@ -775,7 +771,7 @@ func (m *Monitor) Check(ctx context.Context, q *query.Query, opts Options) (*Res
 	var env checkEnv
 	if algo == AlgoNaive || algo == AlgoOpt {
 		opts.Algorithm = algo
-		// The hooks read m.ids, m.conflictAdj, m.parts, and m.digests;
+		// The hooks read m.ids, m.byID, m.conflictAdj, and m.parts;
 		// the read lock held for the duration of the check keeps them
 		// stable, including for the parallel workers (all of which
 		// finish inside this call). The verdict cache and the sweep

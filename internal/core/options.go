@@ -42,18 +42,11 @@ func (o Options) validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: Options.Workers is %d; use 0 or 1 for serial execution, >1 for a worker pool", o.Workers)
 	}
-	cliqueFamily := o.Algorithm == AlgoAuto || o.Algorithm == AlgoNaive || o.Algorithm == AlgoOpt
-	if o.DisablePrecheck && !cliqueFamily {
+	if o.DisablePrecheck && !(o.Algorithm == AlgoAuto || o.Algorithm == AlgoNaive || o.Algorithm == AlgoOpt) {
 		return fmt.Errorf("core: DisablePrecheck only affects the clique algorithms (AlgoAuto/AlgoNaive/AlgoOpt), not %v", o.Algorithm)
-	}
-	if o.DisableLiveFilter && !cliqueFamily {
-		return fmt.Errorf("core: DisableLiveFilter only affects the clique algorithms (AlgoAuto/AlgoNaive/AlgoOpt), not %v", o.Algorithm)
 	}
 	if o.DisableCoverFilter && !(o.Algorithm == AlgoAuto || o.Algorithm == AlgoOpt) {
 		return fmt.Errorf("core: DisableCoverFilter only affects OptDCSat (AlgoAuto/AlgoOpt), not %v", o.Algorithm)
-	}
-	if o.DisableIncrementalWorlds && !cliqueFamily {
-		return fmt.Errorf("core: DisableIncrementalWorlds only affects the clique algorithms (AlgoAuto/AlgoNaive/AlgoOpt), not %v", o.Algorithm)
 	}
 	return nil
 }

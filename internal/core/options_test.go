@@ -28,13 +28,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero", Options{}, true},
 		{"default", DefaultOptions(), true},
 		{"opt-no-cover", Options{Algorithm: AlgoOpt, DisableCoverFilter: true}, true},
-		{"naive-no-filters", Options{Algorithm: AlgoNaive, DisablePrecheck: true, DisableLiveFilter: true}, true},
+		{"naive-no-filters", Options{Algorithm: AlgoNaive, DisablePrecheck: true}, true},
 		{"future-deadline", Options{Deadline: time.Now().Add(time.Hour)}, true},
 		{"negative-workers", Options{Workers: -1}, false},
 		{"past-deadline", Options{Deadline: time.Now().Add(-time.Second)}, false},
 		{"unknown-algorithm", Options{Algorithm: Algorithm(99)}, false},
 		{"precheck-off-fdonly", Options{Algorithm: AlgoFDOnly, DisablePrecheck: true}, false},
-		{"livefilter-off-exhaustive", Options{Algorithm: AlgoExhaustive, DisableLiveFilter: true}, false},
 		{"cover-off-naive", Options{Algorithm: AlgoNaive, DisableCoverFilter: true}, false},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +119,7 @@ func runPool(ctx context.Context, n, workers int, stats *Stats, run func(ctx con
 				if uctx == nil {
 					continue
 				}
-				o := run(uctx, i, &local)
+				o := runRecovered(uctx, i, &local, run)
 				cancel()
 				finish(i, o)
 			}
@@ -141,6 +142,19 @@ func runPool(ctx context.Context, n, workers int, stats *Stats, run func(ctx con
 		return outcomes[bound]
 	}
 	return nil
+}
+
+// runRecovered runs one unit on a pool worker and turns a panic into
+// the unit's error: a worker goroutine has no caller that could
+// recover it, so an unrecovered panic would kill the process. The
+// serial-order bound then treats it like any other unit error.
+func runRecovered(ctx context.Context, i int, local *Stats, run func(ctx context.Context, i int, local *Stats) *searchOutcome) (o *searchOutcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			o = &searchOutcome{err: fmt.Errorf("core: search unit %d panicked: %v", i, r)}
+		}
+	}()
+	return run(ctx, i, local)
 }
 
 // branchesPerWorker oversizes the branch split relative to the pool so
@@ -185,7 +199,7 @@ func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, group
 	}
 	o := runDeterministic(ctx, n, workers, stats, func(uctx context.Context, i int, local *Stats) *searchOutcome {
 		if split != nil {
-			return newCliqueSearch(uctx, d, q, split, env, local).walk(branches[i])
+			return newCliqueSearch(uctx, d, split, env, local).walk(branches[i])
 		}
 		comp := groups[i]
 		if !covers(d, comp, targets) {
@@ -196,7 +210,7 @@ func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, group
 			return o
 		}
 		cg := env.buildGraph(comp, local)
-		o := newCliqueSearch(uctx, d, q, cg, env, local).walk(graph.RootBranch(cg.g))
+		o := newCliqueSearch(uctx, d, cg, env, local).walk(graph.RootBranch(cg.g))
 		env.remember(comp, o)
 		return o
 	})

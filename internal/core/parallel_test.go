@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -164,6 +165,27 @@ func TestRunDeterministicResolution(t *testing.T) {
 				t.Fatalf("%s: WorkerBusy not accumulated", tc.name)
 			}
 		}
+	}
+}
+
+// TestRunDeterministicRecoversPanic: a unit that panics on a pool
+// worker comes back as that unit's error instead of killing the
+// process, and the busy gauge returns to where it was.
+func TestRunDeterministicRecoversPanic(t *testing.T) {
+	busy := gPoolBusy.Value()
+	var stats Stats
+	o := runDeterministic(context.Background(), 4, 2, &stats,
+		func(ctx context.Context, i int, local *Stats) *searchOutcome {
+			if i == 1 {
+				panic("boom")
+			}
+			return nil
+		})
+	if o == nil || o.err == nil || !strings.Contains(o.err.Error(), "unit 1 panicked: boom") {
+		t.Fatalf("outcome %+v, want the panic of unit 1 as its error", o)
+	}
+	if got := gPoolBusy.Value(); got != busy {
+		t.Fatalf("pool busy gauge = %d after the run, want %d", got, busy)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // Per-query delta sweep (the O(delta) warm-Check path).
 //
-// The content-addressed verdict cache (incremental.go) makes an
+// The per-component verdict cache (incremental.go) makes an
 // untouched component's SEARCH free, but a cold Check still pays O(n)
 // before searching anything: the liveness filter, the Θ-bucket pass of
 // the ind-q split (indQSplit), and a cache lookup per component. The sweep removes
@@ -126,7 +126,7 @@ func (m *Monitor) sweepFor(key string) *sweepState {
 // verdicts into the sweep key. Workers is excluded: the sweep
 // reconciles serially regardless, and verdicts do not depend on it.
 func sweepOptsKey(opts Options) string {
-	return fmt.Sprintf("|c%v|l%v", opts.DisableCoverFilter, opts.DisableLiveFilter)
+	return fmt.Sprintf("|c%v", opts.DisableCoverFilter)
 }
 
 // eligible reports whether the (simplified) query's ind-q split equals
@@ -236,11 +236,7 @@ func (sw *monitorSweeper) run(ctx context.Context, d *possible.DB, q *query.Quer
 	res.Stats.ComponentsCovered = st.nCovered
 	res.Stats.ComponentsCached += replayed
 	res.Stats.SweepReplays += replayed
-	if opts.DisableLiveFilter {
-		res.Stats.LivePending = len(d.Pending)
-	} else {
-		res.Stats.LivePending = m.liveCount
-	}
+	res.Stats.LivePending = m.liveCount
 	mSweepReplayed.Add(int64(replayed))
 	mSweepRecomputed.Add(int64(recomputed))
 	if replayed > 0 {
@@ -253,7 +249,7 @@ func (sw *monitorSweeper) run(ctx context.Context, d *possible.DB, q *query.Quer
 	}
 	if len(st.violated) > 0 {
 		res.Satisfied = false
-		res.Witness = sw.chooseWitness(st, opts)
+		res.Witness = sw.chooseWitness(st)
 	}
 	return true, nil
 }
@@ -262,13 +258,13 @@ func (sw *monitorSweeper) run(ctx context.Context, d *possible.DB, q *query.Quer
 // path would have reported: groups are searched in ascending order of
 // their smallest (filtered) member slot, first violation wins. The
 // witness ids are mapped onto current slots.
-func (sw *monitorSweeper) chooseWitness(st *sweepState, opts Options) []int {
+func (sw *monitorSweeper) chooseWitness(st *sweepState) []int {
 	m := sw.m
 	best, bestMin := -1, -1
 	for r := range st.violated {
 		minSlot := -1
 		for _, id := range m.parts.Members(r) {
-			if !opts.DisableLiveFilter && !m.live[id] {
+			if !m.live[id] {
 				continue
 			}
 			if s := m.byID[id]; minSlot < 0 || s < minSlot {
@@ -293,14 +289,14 @@ func (sw *monitorSweeper) chooseWitness(st *sweepState, opts Options) []int {
 
 // computeRoot produces a fresh verdict for one component root: filter
 // the members by maintained liveness, apply the covers filter, and
-// search (through the content-addressed verdict cache) on survival.
+// search (through the per-component verdict cache) on survival.
 func (sw *monitorSweeper) computeRoot(ctx context.Context, d *possible.DB, q *query.Query, root int, targets []atomFilter, opts Options, env checkEnv, stats *Stats) (*sweepVerdict, error) {
 	m := sw.m
 	v := &sweepVerdict{stamp: m.parts.Stamp(root)}
 	members := m.parts.Members(root)
 	comp := make([]int, 0, len(members))
 	for _, id := range members {
-		if !opts.DisableLiveFilter && !m.live[id] {
+		if !m.live[id] {
 			continue
 		}
 		comp = append(comp, m.byID[id])

@@ -167,7 +167,11 @@ func (j *Journal) TotalAppended() uint64 {
 }
 
 // Capacity returns the ring size (0 when disabled at construction).
-func (j *Journal) Capacity() int { return cap(j.buf) }
+func (j *Journal) Capacity() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return cap(j.buf)
+}
 
 // Snapshot copies the retained events, oldest first.
 func (j *Journal) Snapshot() []Event {

@@ -64,6 +64,34 @@ func TestJournalResizePreservesOrderAcrossWrap(t *testing.T) {
 	}
 }
 
+// TestJournalCapacityDuringResize reads Capacity while Resize and
+// Append replace the ring; run under -race it pins that the read takes
+// the journal's lock.
+func TestJournalCapacityDuringResize(t *testing.T) {
+	j := NewJournal(8)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			j.Resize(4 + i%8)
+			j.Append("ev", uint64(i+1), "")
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if c := j.Capacity(); c != 4+199%8 {
+				t.Fatalf("capacity after the last resize = %d, want %d", c, 4+199%8)
+			}
+			return
+		default:
+			if c := j.Capacity(); c < 4 || c > 11 {
+				t.Fatalf("capacity %d outside the resized range [4, 11]", c)
+			}
+		}
+	}
+}
+
 func TestJournalOnDrop(t *testing.T) {
 	j := NewJournal(3)
 	var drops atomic.Int64

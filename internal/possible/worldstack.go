@@ -19,7 +19,8 @@ import "blockchaindb/internal/relation"
 // monotone step function has a unique fixpoint, so pushing the members
 // one at a time lands on the same included set and world tuples as
 // GetMaximalScratch over the whole subset at once — the property the
-// incremental-vs-from-scratch oracle in internal/core pins. (The
+// walk oracle in internal/core (TestIncrementalWalkAgainstScratch)
+// pins at every tree node. (The
 // *inclusion order* may legitimately differ from the one-shot
 // fixpoint's: a transaction deferred by the one-shot rounds can be
 // absorbed immediately when pushed later.) For arbitrary push sets the

@@ -107,7 +107,7 @@ func TestNodeMonitorSyncMatchesRebuild(t *testing.T) {
 // TestNodeMonitorWarmRecheckHitsCache: after one checkpoint check, the
 // next check on an unchanged node replays every covered component —
 // from the delta sweep's verdict map when the query is sweep-eligible,
-// otherwise from the content-addressed verdict cache — without
+// otherwise from the per-component verdict cache — without
 // searching any component again.
 func TestNodeMonitorWarmRecheckHitsCache(t *testing.T) {
 	r := newRig(t)
