@@ -90,7 +90,7 @@ type (
 	Monitor = core.Monitor
 	// MonitorOption configures Database.Monitor / core.NewMonitor.
 	MonitorOption = core.MonitorOption
-	// CacheStats snapshots a Monitor's incremental verdict cache.
+	// CacheStats snapshots a Monitor's verdict store.
 	CacheStats = core.CacheStats
 )
 
@@ -146,7 +146,8 @@ var (
 	UniformInclusion = core.UniformInclusion
 	// DefaultOptions returns the recommended Options configuration.
 	DefaultOptions = core.DefaultOptions
-	// WithCache sets a Monitor's verdict-cache capacity (<=0 disables).
+	// WithCache bounds a Monitor's verdict store, in per-query tables
+	// (<=0 disables verdict reuse).
 	WithCache = core.WithCache
 	// WithObserver routes a Monitor's lifecycle events to a journal.
 	WithObserver = core.WithObserver
@@ -257,9 +258,10 @@ func (d *Database) EstimateViolation(q *Query, model InclusionModel, samples int
 
 // Monitor wraps the database in a steady-state monitor that maintains
 // the checking structures incrementally as transactions arrive and
-// commit: fd-conflict pairs, appendability statuses, and the
-// delta-aware per-component verdict cache. Options (WithCache,
-// WithObserver) tune the cache and observability.
+// commit: fd-conflict pairs, appendability statuses, the Θ_I component
+// partition, and a verdict store holding, per standing query, the
+// verdicts of its current components. Options (WithCache,
+// WithObserver) tune the store and observability.
 func (d *Database) Monitor(opts ...MonitorOption) *Monitor { return core.NewMonitor(d.db, opts...) }
 
 // CertainAnswers returns, for a non-Boolean query (head variables), the

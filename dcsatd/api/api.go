@@ -127,8 +127,9 @@ type RegisterRequest struct {
 	BudgetUnitsPerSec int64 `json:"budget_units_per_sec,omitempty"`
 	BudgetBurst       int64 `json:"budget_burst,omitempty"`
 
-	// CacheEntries tunes the Monitor's incremental verdict cache:
-	// 0 keeps the engine default, negative disables caching.
+	// CacheEntries bounds the Monitor's verdict store, in per-query
+	// tables (each holds one verdict per current component of its
+	// query): 0 keeps the engine default, negative disables reuse.
 	CacheEntries int `json:"cache_entries,omitempty"`
 	// Workers is the default check parallelism (CheckRequest.Workers
 	// overrides per call).
@@ -257,7 +258,10 @@ type BudgetStatus struct {
 	RetryMS     int64  `json:"retry_ms,omitempty"`
 }
 
-// CacheStatus is a tenant Monitor's verdict-cache counters.
+// CacheStatus is a tenant Monitor's verdict-store counters: Hits and
+// Misses count per-component lookups, Stores verdicts written, Evicted
+// verdicts dropped by the table bound or because their component is
+// gone, and Invalidated verdicts cleared by commits.
 type CacheStatus struct {
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`

@@ -582,3 +582,33 @@ func TestHandlerPanicRecovered(t *testing.T) {
 		t.Fatal("check after the panic lost its verdict")
 	}
 }
+
+// TestRegisterNegativeCacheEntriesDisablesReuse: a tenant registered
+// with a negative cache_entries gets a Monitor with verdict reuse off,
+// so repeated checks leave every store counter at zero.
+func TestRegisterNegativeCacheEntriesDisablesReuse(t *testing.T) {
+	_, c := bootServer(t, Config{})
+	ctx := context.Background()
+	req := doubleSpendTenant("nocache")
+	req.CacheEntries = -1
+	if _, err := c.Register(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Deregister(ctx, "nocache") })
+	for i := 0; i < 2; i++ {
+		res, err := c.Check(ctx, "nocache", &api.CheckRequest{Name: "hot"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Satisfied || res.Stats.ComponentsCached != 0 {
+			t.Fatalf("check %d: %+v, want a violation searched afresh", i, res)
+		}
+	}
+	st, err := c.Status(ctx, "nocache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache != (api.CacheStatus{}) {
+		t.Fatalf("cache status %+v, want all zero with reuse disabled", st.Cache)
+	}
+}

@@ -130,7 +130,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		queries[name] = q
 	}
 	mopts := []core.MonitorOption{core.WithTenant(req.Tenant)}
-	if req.CacheEntries > 0 {
+	if req.CacheEntries != 0 {
 		mopts = append(mopts, core.WithCache(req.CacheEntries))
 	}
 	tn := &tenant{

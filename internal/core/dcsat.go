@@ -134,7 +134,7 @@ type Stats struct {
 	LivePending       int  // transactions surviving the liveness filter
 	Components        int  // ind-q groups searched (OptDCSat): the direct ones, plus any the state bridge merged
 	ComponentsCovered int  // components passing the Covers filter
-	ComponentsCached  int  // components answered from the incremental verdict cache
+	ComponentsCached  int  // components answered from the verdict store, by either selector
 	Cliques           int  // maximal cliques enumerated
 	WorldsEvaluated   int  // worlds the query was evaluated on
 	WorldsIncremental int  // worlds extended in place along the clique tree (delta re-probe)
@@ -142,7 +142,7 @@ type Stats struct {
 	Duration          time.Duration
 
 	// Cost-attribution counters (obs.CostVector sources): compiled-plan
-	// tuple probes, verdict-cache traffic, and sweep replays for this
+	// tuple probes, split-table lookups, and sweep replays for this
 	// check.
 	PlanProbes   int64
 	CacheHits    int
@@ -235,19 +235,6 @@ type Result struct {
 	Stats      Stats
 }
 
-// fdGraphFn builds the fd-transaction graph of one component (global
-// pending indexes) in the sparse complement representation. The
-// Monitor injects its incrementally maintained conflict pairs through
-// this hook; nil means buildFDGraph from scratch.
-type fdGraphFn func(comp []int) *fdCompGraph
-
-// componentsFn runs the direct phase of the ind-q split (indQSplit)
-// over the live subset (global pending indexes) for the simplified
-// query. The Monitor injects its maintained Θ_I partition through this
-// hook, so only the query-derived Θ_q pass runs per check; nil means
-// newIndQSplit from scratch.
-type componentsFn func(subset []int, q *query.Query) *indQSplit
-
 // Check decides whether the blockchain database satisfies the denial
 // constraint: D |= ¬q iff q evaluates to false over every possible
 // world. The options select the algorithm; AlgoAuto (the zero value)
@@ -277,9 +264,9 @@ func Check(ctx context.Context, d *possible.DB, q *query.Query, opts Options) (*
 // checkContext is the shared pipeline behind Check and Monitor.Check:
 // the validation front door, the Simplify rewrite, algorithm routing,
 // deadline handling, dispatch, and the closing bookkeeping (duration,
-// metrics, undecided translation). The env carries the Monitor's hooks
-// (incremental fd graph, verdict cache); the stateless entrypoint
-// passes the zero env.
+// metrics, undecided translation). The env carries the Monitor, whose
+// maintained graphs and verdict store the clique search reads; the
+// stateless entrypoint passes the zero env.
 func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Options, env checkEnv) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -351,12 +338,6 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 		return res, nil
 	}
 	q = simplified
-	if env.cache != nil {
-		// The cache key's query half is fixed only now: Simplify is
-		// deterministic, so the simplified form's canonical string
-		// identifies the semantic query actually searched.
-		env.qfp = q.String()
-	}
 	// Compile the simplified query once per check; every per-world
 	// evaluation below reuses this plan (schema pointers are shared by
 	// all overlays over d.State, so it stays valid for every world).
@@ -454,9 +435,6 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 			"(use AlgoExhaustive, or AlgoFDOnly when the constraints have no inclusion dependencies)",
 			map[bool]string{false: "NaiveDCSat", true: "OptDCSat"}[optimized], q)
 	}
-	if env.fdGraph == nil {
-		env.fdGraph = func(comp []int) *fdCompGraph { return buildFDGraph(d, comp) }
-	}
 	res := &Result{Satisfied: true}
 	// Pre-check over the union of everything.
 	if !opts.DisablePrecheck {
@@ -493,23 +471,17 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 		res.Witness = []int{}
 		return res, nil
 	}
-	// Delta sweep: when the Monitor maintains a per-query verdict map
-	// over its persistent Θ_I components and the (simplified) query is
-	// plain enough that those components are exactly the ind-q split,
-	// answer by replaying the mutation log — O(touched components) —
-	// instead of running the O(n) live filter and component split below.
-	if env.sweep != nil && optimized && env.sweep.eligible(q) {
+	// Verdict reuse: a Monitor keeps one table per query, keyed by the
+	// simplified query's canonical text. A sweep table answers by
+	// replaying the mutation journal — O(touched components) — instead
+	// of running the O(n) live filter and component split below.
+	if env.useTable(q, opts, optimized) {
 		sweepCtx, sweepSpan := obs.Start(ctx, "sweep")
-		swept, err := env.sweep.run(sweepCtx, d, q, opts, env, res)
+		err := env.table.sweep(sweepCtx, d, q, opts, env, res)
 		sweepSpan.SetAttr("components", res.Stats.Components)
 		sweepSpan.SetAttr("replayed", res.Stats.ComponentsCached)
 		sweepSpan.End()
-		if err != nil {
-			return res, err
-		}
-		if swept {
-			return res, nil
-		}
+		return res, err
 	}
 	_, liveSpan := obs.Start(ctx, "live_filter")
 	liveStart := time.Now()
@@ -529,8 +501,8 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	if optimized && q.IsConnected() {
 		_, splitSpan := obs.Start(ctx, "component_split")
 		splitStart := time.Now()
-		if env.components != nil {
-			split = env.components(live, q)
+		if env.mon != nil {
+			split = env.mon.seededComponents(live, q)
 		} else {
 			split = newIndQSplit(d, live, q, nil)
 		}
@@ -598,14 +570,14 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 			o = searchComponents(ctx, d, q, merged, targets, opts.Workers, env, &res.Stats)
 		}
 	}
-	if o == nil {
-		return res, nil
-	}
-	if o.err != nil {
+	if o != nil && o.err != nil {
 		return res, o.err
 	}
-	res.Satisfied = false
-	res.Witness = o.witness
+	env.retain()
+	if o != nil {
+		res.Satisfied = false
+		res.Witness = o.witness
+	}
 	return res, nil
 }
 

@@ -188,13 +188,12 @@ func TestWithCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestWithCacheEviction: a tiny capacity evicts FIFO instead of
-// growing without bound.
+// TestWithCacheEviction: WithCache bounds the number of per-query
+// tables; a second query evicts the first query's table, verdicts and
+// all, instead of growing the store without bound.
 func TestWithCacheEviction(t *testing.T) {
 	m := NewMonitor(victimDB(t), WithCache(1))
 	opts := Options{Algorithm: AlgoOpt, DisablePrecheck: true}
-	// Two distinct queries whose victim component verdicts contend for
-	// the single slot.
 	q1 := query.MustParse(victimQuery)
 	q2 := query.MustParse("q() :- TxOut(t, s, 'U3Pk', a)")
 	for i := 0; i < 2; i++ {
@@ -206,11 +205,87 @@ func TestWithCacheEviction(t *testing.T) {
 		}
 	}
 	cs := m.CacheStats()
-	if cs.Size > 1 {
-		t.Fatalf("cache size %d exceeds capacity 1", cs.Size)
+	if cs.Tables != 1 || cs.Capacity != 1 {
+		t.Fatalf("store holds %d tables at capacity %d, want 1 at 1", cs.Tables, cs.Capacity)
 	}
 	if cs.Evicted == 0 {
 		t.Fatalf("no evictions under contention: %+v", cs)
+	}
+}
+
+// TestSplitTableKeepsCurrentComponents: a split table (the query has an
+// atom pair, so the sweep does not apply) keeps verdicts only for the
+// query's current components. Dropping a member replaces its
+// component's entry instead of leaving the old one behind.
+func TestSplitTableKeepsCurrentComponents(t *testing.T) {
+	s := fixture.BitcoinSchema()
+	cons := fixture.BitcoinConstraints(s)
+	var pending []*relation.Transaction
+	for i := int64(1); i <= 3; i++ {
+		s.MustInsert("TxOut", fixture.TxOut(1, i, "U0Pk", 1))
+		pending = append(pending, relation.NewTransaction(fmt.Sprintf("T%d", i)).
+			Add("TxIn", fixture.TxIn(1, i, "U0Pk", 1, 10+i, "U0Sig")).
+			Add("TxOut", fixture.TxOut(10+i, 1, "U1Pk", 1)))
+	}
+	// B spends A's output, so A and B share one Θ_I component.
+	pending = append(pending, relation.NewTransaction("B").
+		Add("TxIn", fixture.TxIn(11, 1, "U1Pk", 1, 20, "U1Sig")).
+		Add("TxOut", fixture.TxOut(20, 1, "U2Pk", 1)))
+	m := NewMonitor(possible.MustNew(s, cons, pending))
+	q := query.MustParse("q() :- TxIn(pt, ps, pk, a, nt, sig), TxOut(nt, s2, 'NoSuchPk', a2)")
+	opts := Options{Algorithm: AlgoOpt, DisablePrecheck: true, DisableCoverFilter: true}
+	check := func(step string) {
+		t.Helper()
+		res, err := m.Check(context.Background(), q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Satisfied || res.Stats.SweepReplays != 0 {
+			t.Fatalf("%s: satisfied=%v sweep replays=%d, want a satisfied split check",
+				step, res.Satisfied, res.Stats.SweepReplays)
+		}
+		if cs := m.CacheStats(); cs.Size != res.Stats.Components {
+			t.Fatalf("%s: store holds %d verdicts for %d current components: %+v",
+				step, cs.Size, res.Stats.Components, cs)
+		}
+	}
+	check("cold")
+	if err := m.DropPending(3); err != nil { // B
+		t.Fatal(err)
+	}
+	check("after drop")
+	if cs := m.CacheStats(); cs.Hits != 2 || cs.Evicted != 1 {
+		t.Fatalf("after drop: %+v, want 2 hits (the untouched components) and 1 verdict dropped", cs)
+	}
+}
+
+// TestSweepRecomputeSkipsSplitTable: a sweep table stores each
+// recomputed root's verdict once, so the recompute after an AddPending
+// neither looks up nor stores a split verdict.
+func TestSweepRecomputeSkipsSplitTable(t *testing.T) {
+	m := NewMonitor(victimDB(t))
+	q := query.MustParse(victimQuery)
+	opts := Options{Algorithm: AlgoOpt, DisablePrecheck: true}
+	if _, err := m.Check(context.Background(), q, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddPending(relation.NewTransaction("N").
+		Add("TxOut", fixture.TxOut(95, 1, "VictimPk", 1))); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Check(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SweepReplays == 0 {
+		t.Fatal("warm check replayed nothing: the sweep did not answer")
+	}
+	if res.Stats.CacheMisses != 0 || res.Stats.CacheHits != 0 {
+		t.Fatalf("sweep recompute touched a split table: %d hits, %d misses",
+			res.Stats.CacheHits, res.Stats.CacheMisses)
+	}
+	if cs := m.CacheStats(); cs.Tables != 1 || cs.Size != res.Stats.Components {
+		t.Fatalf("store %+v, want one table holding %d verdicts", cs, res.Stats.Components)
 	}
 }
 
@@ -272,12 +347,35 @@ func TestCachedCheckEmitsJournalEvents(t *testing.T) {
 	}
 }
 
+// storeVariants builds one Monitor per verdict-store configuration the
+// oracles cover, each over its own copy of d's state: the default
+// store, a store of one table (evicted between the checks of different
+// queries, sweep, split and aggregate alike), and the default store
+// checked with two workers.
+func storeVariants(d *possible.DB) []storeVariant {
+	mon := func(opts ...MonitorOption) *Monitor {
+		return NewMonitor(possible.MustNew(d.State.Clone(), d.Constraints, d.Pending), opts...)
+	}
+	return []storeVariant{
+		{"default", mon(), Options{}},
+		{"one table", mon(WithCache(1)), Options{}},
+		{"workers 2", mon(), Options{Workers: 2}},
+	}
+}
+
+type storeVariant struct {
+	name string
+	mon  *Monitor
+	opts Options
+}
+
 // TestIncrementalEquivalentToColdCheck is the tentpole property test:
 // across randomized add/drop/commit interleavings (including the
 // commit path that rewrites slot indexes), a warm incremental Check —
-// run twice, so the second run replays from cache — always agrees with
-// a cold exhaustive Check over a freshly constructed database, and
-// every violation witness denotes a real reachable violating world.
+// run twice, so the second run replays from the verdict store — always
+// agrees with a cold exhaustive Check over a freshly constructed
+// database, and every violation witness denotes a real reachable
+// violating world. Every storeVariants Monitor sees the same deltas.
 func TestIncrementalEquivalentToColdCheck(t *testing.T) {
 	queries := []string{
 		"q() :- TxOut(t, s, 'U0Pk', a)",
@@ -288,7 +386,7 @@ func TestIncrementalEquivalentToColdCheck(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		base := bitcoinLikeDB(r)
-		mon := NewMonitor(base)
+		variants := storeVariants(base)
 		mirror := base.State.Clone()
 		type slot struct {
 			id int
@@ -312,29 +410,32 @@ func TestIncrementalEquivalentToColdCheck(t *testing.T) {
 			fresh := freshDB()
 			for _, src := range queries {
 				q := query.MustParse(src)
-				warm1, err := mon.Check(context.Background(), q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				warm2, err := mon.Check(context.Background(), q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
 				cold, err := Check(context.Background(), fresh, q, Options{Algorithm: AlgoExhaustive})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if warm1.Satisfied != cold.Satisfied || warm2.Satisfied != cold.Satisfied {
-					t.Logf("seed %d %s: %s warm=%v/%v cold=%v", seed, step, src,
-						warm1.Satisfied, warm2.Satisfied, cold.Satisfied)
-					return false
-				}
-				if !warm2.Satisfied {
-					checkWitnessWorld(t, mon, q, warm2.Witness)
+				for _, v := range variants {
+					warm1, err := v.mon.Check(context.Background(), q, v.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					warm2, err := v.mon.Check(context.Background(), q, v.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if warm1.Satisfied != cold.Satisfied || warm2.Satisfied != cold.Satisfied {
+						t.Logf("seed %d %s %s: %s warm=%v/%v cold=%v", seed, v.name, step, src,
+							warm1.Satisfied, warm2.Satisfied, cold.Satisfied)
+						return false
+					}
+					if !warm2.Satisfied {
+						checkWitnessWorld(t, v.mon, q, warm2.Witness)
+					}
 				}
 			}
 			return true
 		}
+		mon := variants[0].mon
 
 		if !agree("initial") {
 			return false
@@ -351,9 +452,11 @@ func TestIncrementalEquivalentToColdCheck(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				id, err := mon.AddPending(tx)
-				if err != nil {
-					t.Fatal(err)
+				id := nextID
+				for _, v := range variants {
+					if got, err := v.mon.AddPending(tx); err != nil || got != id {
+						t.Fatalf("%s: AddPending = %d, %v; want id %d", v.name, got, err, id)
+					}
 				}
 				pend = append(pend, slot{id: id, tx: norm})
 				nextID++
@@ -362,11 +465,13 @@ func TestIncrementalEquivalentToColdCheck(t *testing.T) {
 					continue
 				}
 				i := r.Intn(len(pend))
-				if err := mon.DropPending(pend[i].id); err != nil {
-					t.Fatal(err)
+				for _, v := range variants {
+					if err := v.mon.DropPending(pend[i].id); err != nil {
+						t.Fatal(err)
+					}
 				}
 				pend = append(pend[:i], pend[i+1:]...)
-			case 2: // commit (rewrites slots AND invalidates the cache)
+			case 2: // commit (rewrites slots AND clears the verdict store)
 				if len(pend) == 0 {
 					continue
 				}
@@ -374,8 +479,10 @@ func TestIncrementalEquivalentToColdCheck(t *testing.T) {
 				if !mon.Appendable(pend[i].id) {
 					continue
 				}
-				if err := mon.Commit(pend[i].id); err != nil {
-					t.Fatal(err)
+				for _, v := range variants {
+					if err := v.mon.Commit(pend[i].id); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if err := mirror.InsertTransaction(pend[i].tx); err != nil {
 					t.Fatal(err)
@@ -393,17 +500,21 @@ func TestIncrementalEquivalentToColdCheck(t *testing.T) {
 	}
 }
 
-// TestConcurrentCheckAddPendingWithCache hammers the cache with
+// TestConcurrentCheckAddPendingWithCache hammers the verdict store with
 // concurrent warm Checks (serial and parallel) racing mutations — run
 // under -race in CI. Correctness of interleaved verdicts is covered by
 // the property test; this one is about data races and deadlocks on the
-// shared cache.
+// shared tables, a sweep table and a split table.
 func TestConcurrentCheckAddPendingWithCache(t *testing.T) {
 	mon := NewMonitor(victimDB(t))
 	// VictimPk never appears in the committed state, so the verdict
 	// hinges on the pending components and the search actually reaches
-	// the cache (a state-satisfied query is decided before the sweep).
-	q := query.MustParse(victimQuery)
+	// the store (a state-satisfied query is decided before it). The
+	// join's atom pair sends it to a split table.
+	queries := []*query.Query{
+		query.MustParse(victimQuery),
+		query.MustParse("q() :- TxIn(pt, ps, pk, a, nt, sig), TxOut(nt, s2, 'VictimPk', a2)"),
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		workers := 1 + 3*w // one serial checker, one parallel
@@ -414,7 +525,7 @@ func TestConcurrentCheckAddPendingWithCache(t *testing.T) {
 				Algorithm: AlgoOpt, DisablePrecheck: true, Workers: workers,
 			}
 			for i := 0; i < 40; i++ {
-				if _, err := mon.Check(context.Background(), q, opts); err != nil {
+				if _, err := mon.Check(context.Background(), queries[i%2], opts); err != nil {
 					t.Error(err)
 					return
 				}
@@ -457,8 +568,98 @@ func TestConcurrentCheckAddPendingWithCache(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	// Sanity: the cache actually saw traffic during the race.
-	if cs := mon.CacheStats(); cs.Stores == 0 && cs.Hits == 0 {
-		t.Fatalf("cache saw no traffic: %+v", cs)
+	// Sanity: the store actually saw traffic during the race, split
+	// lookups included.
+	if cs := mon.CacheStats(); cs.Stores == 0 || cs.Hits+cs.Misses == 0 {
+		t.Fatalf("store saw no traffic: %+v", cs)
 	}
+}
+
+// FuzzMonitorVerdicts drives a Monitor with a verdict store of one to
+// three tables through fuzz-chosen add/drop/commit/check sequences over
+// a bitcoinLikeDB. Every Monitor.Check verdict must equal the stateless
+// Check on a snapshot of the same database, and every witness must be a
+// reachable set on which q holds. The queries cover both selectors and
+// an aggregate: two sweep-eligible single atoms, a join (split) and a
+// sum.
+func FuzzMonitorVerdicts(f *testing.F) {
+	f.Add(int64(1), []byte{3, 7, 11, 15})
+	f.Add(int64(7), []byte{1, 0, 4, 3, 7, 1, 3, 2, 11, 0, 8, 15, 3, 7, 11})
+	f.Add(int64(42), []byte{2, 0, 0, 0, 3, 7, 11, 15, 1, 3, 7, 11, 15, 2, 3, 7, 11, 15})
+	queries := []*query.Query{
+		query.MustParse("q() :- TxOut(t, s, 'U0Pk', a)"),
+		query.MustParse("q() :- TxOut(t, s, 'U2Pk', a)"),
+		query.MustParse("q() :- TxIn(pt, ps, 'U1Pk', a, nt, sig), TxOut(nt, s2, pk2, a2)"),
+		query.MustParse("q(sum(a)) > 2 :- TxIn(pt, ps, pk, a, nt, sig)"),
+	}
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		capacity := 1
+		if len(ops) > 0 {
+			capacity += int(ops[0]) % 3
+			ops = ops[1:]
+		}
+		mon := NewMonitor(bitcoinLikeDB(rand.New(rand.NewSource(seed))), WithCache(capacity))
+		ids := mon.PendingIDs()
+		nextTx := int64(100)
+		for step, op := range ops {
+			arg := int(op / 4)
+			switch op % 4 {
+			case 0: // add: spend a committed, a base pending or the previous new output
+				owner := fmt.Sprintf("U%dPk", arg%3)
+				prev := []int64{1, 2, 3, nextTx - 1}[arg/3%4]
+				id, err := mon.AddPending(relation.NewTransaction(fmt.Sprintf("F%d", nextTx)).
+					Add("TxIn", fixture.TxIn(prev, int64(arg%4+1), owner, 1, nextTx, owner+"Sig")).
+					Add("TxOut", fixture.TxOut(nextTx, 1, fmt.Sprintf("U%dPk", arg%4), 1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+				nextTx++
+			case 1: // drop
+				if len(ids) == 0 {
+					continue
+				}
+				i := arg % len(ids)
+				if err := mon.DropPending(ids[i]); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids[:i], ids[i+1:]...)
+			case 2: // commit an appendable transaction
+				if len(ids) == 0 {
+					continue
+				}
+				i := arg % len(ids)
+				if !mon.Appendable(ids[i]) {
+					continue
+				}
+				if err := mon.Commit(ids[i]); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids[:i], ids[i+1:]...)
+			case 3: // check, serial or with two workers
+				q := queries[arg%len(queries)]
+				opts := Options{Workers: 1 + arg/len(queries)%2}
+				got, err := mon.Check(context.Background(), q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mon.mu.RLock()
+				snap := &possible.DB{State: mon.db.State, Constraints: mon.db.Constraints, Pending: mon.db.Pending}
+				want, err := Check(context.Background(), snap, q, opts)
+				if err == nil && !got.Satisfied {
+					err = checkViolation(snap, q, got.Witness)
+				}
+				mon.mu.RUnlock()
+				if err != nil {
+					t.Fatalf("step %d %s: %v", step, q, err)
+				}
+				if got.Satisfied != want.Satisfied {
+					t.Fatalf("step %d %s: monitor satisfied=%v, stateless %v", step, q, got.Satisfied, want.Satisfied)
+				}
+			}
+		}
+	})
 }

@@ -35,18 +35,18 @@ var (
 	mWorldsRebuilt     = obs.DefaultWindows.Counter(obs.MetricWorldsRebuilt, "worlds materialized from scratch (one per clique-tree root)")
 	hReuseDepth        = obs.DefaultWindows.Histogram(obs.MetricReuseDepth, "clique-tree depth of each incremental world extension")
 
-	// Incremental verdict cache (Monitor-owned; see incremental.go).
-	// Windowed so "cache hit-rate over the last minute" is computable.
-	mCacheHits        = obs.DefaultWindows.Counter(obs.MetricCacheHits, "components answered from the incremental verdict cache")
-	mCacheMisses      = obs.DefaultWindows.Counter(obs.MetricCacheMisses, "components searched because the verdict cache missed")
-	mCacheInvalidated = obs.DefaultWindows.Counter(obs.MetricCacheInvalidated, "cached verdicts dropped (commit invalidation or capacity eviction)")
+	// Verdict store (Monitor-owned; see verdicts.go). Windowed so "hit
+	// rate over the last minute" is computable.
+	mCacheHits        = obs.DefaultWindows.Counter(obs.MetricCacheHits, "components answered from a split verdict table")
+	mCacheMisses      = obs.DefaultWindows.Counter(obs.MetricCacheMisses, "components searched because the split verdict table missed")
+	mCacheInvalidated = obs.DefaultWindows.Counter(obs.MetricCacheInvalidated, "stored verdicts dropped (commit clear, table eviction, or component gone)")
 
-	// Persistent monitor graphs and the per-query delta sweep
-	// (monitor.go / sweep.go). The gauges track the maintained
+	// Persistent monitor graphs and the sweep selector
+	// (monitor.go / verdicts.go). The gauges track the maintained
 	// structures' current shape; the counters measure how much work the
 	// O(delta) warm path actually avoided.
 	mCommitRefreshes = obs.DefaultWindows.Counter(obs.MetricCommitRefreshes, "pending transactions re-validated by the targeted post-commit refresh")
-	mSweepRebuilds   = obs.DefaultWindows.Counter(obs.MetricSweepRebuilds, "sweep states rebuilt from scratch (cold query or trimmed journal)")
+	mSweepRebuilds   = obs.DefaultWindows.Counter(obs.MetricSweepRebuilds, "sweep tables rebuilt from scratch (cold query or trimmed journal)")
 	mSweepReplayed   = obs.DefaultWindows.Counter(obs.MetricSweepReplayed, "component verdicts replayed unchanged by the delta sweep")
 	mSweepRecomputed = obs.DefaultWindows.Counter(obs.MetricSweepRecomputed, "component verdicts recomputed by the delta sweep")
 

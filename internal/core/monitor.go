@@ -28,10 +28,11 @@ import (
 //     dynamic union-find (graph.DynamicPartition); the query-specific
 //     Θ_q edges and the state-bridge closure are added per Check, as in
 //     the paper, seeded from the maintained partition;
-//   - the stable external ids of the pending transactions, which key
-//     the incremental verdict cache (incremental.go) and the per-query
-//     delta sweep (sweep.go) that let a Check replay per-component
-//     verdicts untouched by the latest deltas.
+//   - the stable external ids of the pending transactions and a journal
+//     of the partition roots each mutation touched, which key the
+//     verdict store (verdicts.go): one table per standing query that
+//     lets a Check replay the verdicts of components the latest deltas
+//     left untouched.
 //
 // Every mutation costs O(touched component): AddPending and DropPending
 // update only the hash buckets their keys land in and the partition
@@ -45,10 +46,9 @@ import (
 // pending set; AddPending, DropPending, Commit, and CommitExternal
 // take the write lock and therefore serialize against in-flight
 // Checks rather than race them. Concurrent Checks run in parallel
-// with each other and share the verdict cache and the sweep states,
-// which carry their own internal locks. A Check never blocks for
-// longer than its own search: mutations queue behind it, not inside
-// it.
+// with each other and share the verdict store, whose tables carry
+// their own locks. A Check never blocks for longer than its own
+// search: mutations queue behind it, not inside it.
 type Monitor struct {
 	mu   sync.RWMutex
 	db   *possible.DB
@@ -76,9 +76,9 @@ type Monitor struct {
 	live       map[int]bool // id -> selfOK && no fd conflict with state
 	liveCount  int
 
-	// Mutation journal for the delta sweeps: gen counts mutations (and
+	// Mutation journal for the sweep tables: gen counts mutations (and
 	// stamps the partition), changeLog records the component roots each
-	// mutation touched, logSeq counts entries ever appended (so a sweep
+	// mutation touched, logSeq counts entries ever appended (so a table
 	// can tell how far behind it is even after the log is trimmed).
 	gen       uint64
 	changeLog []int
@@ -89,14 +89,7 @@ type Monitor struct {
 	// old O(|pending|) commit stall.
 	appendRefreshes uint64
 
-	cache *verdictCache // nil when caching is disabled
-
-	// Per-query delta sweeps (sweep.go), keyed by query fingerprint +
-	// ablation-option bits, bounded FIFO. Guarded by sweepMu (lock
-	// order: m.mu before sweepMu before sweepState.mu).
-	sweepMu    sync.Mutex
-	sweeps     map[string]*sweepState
-	sweepOrder []string
+	store *verdictStore // nil when verdict reuse is disabled
 
 	journal *obs.Journal // lifecycle event sink (never nil)
 
@@ -125,24 +118,26 @@ type indBucket struct {
 func (b *indBucket) active() bool { return len(b.lhs) > 0 && len(b.rhs) > 0 }
 
 // maxChangeLog bounds the mutation journal; overflowing drops the
-// oldest half, which forces sweeps further behind than the retained
-// suffix into a full rebuild.
+// oldest half, which forces sweep tables further behind than the
+// retained suffix into a full rebuild.
 const maxChangeLog = 16384
 
 // MonitorOption configures NewMonitor.
 type MonitorOption func(*Monitor)
 
-// WithCache sets the incremental verdict cache's capacity (entries).
-// Zero or negative disables caching entirely — every Check re-searches
-// every component, and the per-query delta sweeps are disabled with
-// it. Without this option the cache holds defaultCacheCap entries.
+// WithCache bounds the verdict store at capacity per-query tables,
+// evicting the oldest table past the bound; each table holds one
+// verdict per current component of its query. Zero or negative
+// disables verdict reuse entirely: every Check re-searches every
+// component. Without this option the store holds defaultTableCap
+// tables.
 func WithCache(capacity int) MonitorOption {
 	return func(m *Monitor) {
 		if capacity <= 0 {
-			m.cache = nil
+			m.store = nil
 			return
 		}
-		m.cache = newVerdictCache(capacity)
+		m.store = newVerdictStore(capacity)
 	}
 }
 
@@ -166,10 +161,9 @@ func WithTenant(name string) MonitorOption {
 }
 
 // NewMonitor wraps the database. The pending transactions already in
-// the database are registered and indexed. Options tune the
-// incremental cache and observability; the defaults (verdict cache of
-// defaultCacheCap entries, events to obs.DefaultJournal) suit steady
-// mempool monitoring.
+// the database are registered and indexed. Options tune the verdict
+// store and observability; the defaults (defaultTableCap tables, events
+// to obs.DefaultJournal) suit steady mempool monitoring.
 func NewMonitor(d *possible.DB, opts ...MonitorOption) *Monitor {
 	m := &Monitor{
 		db:          &possible.DB{State: d.State, Constraints: d.Constraints},
@@ -181,7 +175,7 @@ func NewMonitor(d *possible.DB, opts ...MonitorOption) *Monitor {
 		bucketsFD:   make([]map[string][]fdOccupant, len(d.Constraints.FDs)),
 		bucketsIND:  make([]map[string]*indBucket, len(d.Constraints.INDs)),
 		parts:       graph.NewDynamicPartition(),
-		cache:       newVerdictCache(defaultCacheCap),
+		store:       newVerdictStore(defaultTableCap),
 		journal:     obs.DefaultJournal,
 	}
 	for i := range m.bucketsFD {
@@ -332,7 +326,7 @@ func (m *Monitor) indLeave(indIdx int, key string, id int, refSide bool) {
 }
 
 // unionComp unions two ids in the maintained partition, logging the
-// absorbed root so sweeps reconcile the disappeared component.
+// absorbed root so sweep tables reconcile the disappeared component.
 func (m *Monitor) unionComp(a, b int) {
 	if _, loser, merged := m.parts.Union(a, b, m.gen); merged {
 		m.noteComp(loser)
@@ -453,11 +447,11 @@ func (m *Monitor) removeLocked(id int) error {
 			m.indLeave(indIdx, k, id, true)
 		}
 	}
-	// Compact the pending slice. The verdict cache is untouched: slot
-	// indexes never appear in cache keys or stored witnesses (both hold
+	// Compact the pending slice. The verdict store is untouched: slot
+	// indexes never appear in its keys or stored witnesses (both hold
 	// external ids), so the swap-with-last rewrite below cannot stale
 	// an entry. Components that lost this member miss naturally — their
-	// key no longer includes its id.
+	// key no longer includes its id, and their root's stamp moved.
 	last := len(m.db.Pending) - 1
 	if slot != last {
 		m.db.Pending[slot] = m.db.Pending[last]
@@ -564,8 +558,7 @@ func (m *Monitor) Commit(id int) error {
 		return err
 	}
 	refreshed := m.refreshAfterCommitLocked(tx)
-	m.invalidateCacheLocked("commit")
-	m.clearSweepsLocked()
+	m.clearVerdictsLocked("commit")
 	m.journal.Append(obs.EvMonitorCommit, 0, "",
 		obs.F("id", id),
 		obs.F("pending", len(m.db.Pending)),
@@ -579,8 +572,8 @@ func (m *Monitor) Commit(id int) error {
 // accepted it, so no appendability gate applies: the transaction is
 // normalized, inserted into the state, and the cached structures that
 // read the state (appendability and liveness of the key-intersecting
-// transactions, the verdict cache, the sweeps) are refreshed, exactly
-// as for Commit.
+// transactions, the verdict store) are refreshed, exactly as for
+// Commit.
 func (m *Monitor) CommitExternal(tx *relation.Transaction) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -592,8 +585,7 @@ func (m *Monitor) CommitExternal(tx *relation.Transaction) error {
 		return err
 	}
 	refreshed := m.refreshAfterCommitLocked(norm)
-	m.invalidateCacheLocked("commit_external")
-	m.clearSweepsLocked()
+	m.clearVerdictsLocked("commit_external")
 	m.journal.Append(obs.EvMonitorCommitExternal, 0, "",
 		obs.F("pending", len(m.db.Pending)),
 		obs.F("refreshed", refreshed))
@@ -651,32 +643,22 @@ func (m *Monitor) refreshAfterCommitLocked(tx *relation.Transaction) int {
 	return len(cand)
 }
 
-// invalidateCacheLocked clears the verdict cache after a state
-// mutation: every per-component verdict reads the state (GetMaximal
-// overlays, liveness, the R-side of fd conflicts), so none survives a
-// grown R. Caller holds the write lock.
-func (m *Monitor) invalidateCacheLocked(reason string) {
-	if m.cache == nil {
+// clearVerdictsLocked clears the verdict store after a state mutation:
+// every per-component verdict reads the state (GetMaximal overlays,
+// liveness, the R side of fd conflicts), so none survives a grown R.
+// It also trims the mutation journal: with no sweep table left to
+// replay it, the retained suffix serves no one. logSeq stays monotone,
+// so new sweep tables start in sync. Caller holds the write lock.
+func (m *Monitor) clearVerdictsLocked(reason string) {
+	m.changeLog = m.changeLog[:0]
+	if m.store == nil {
 		return
 	}
-	if n := m.cache.invalidateAll(); n > 0 {
+	if n := m.store.clear(); n > 0 {
 		m.journal.Append(obs.EvMonitorCacheClear, 0, "",
 			obs.F("reason", reason),
 			obs.F("entries", n))
 	}
-}
-
-// clearSweepsLocked drops every per-query sweep state after a state
-// mutation (same reasoning as the verdict cache) and trims the
-// mutation journal — with no sweep left to replay it, the retained
-// suffix serves no one. logSeq stays monotone so rebuilt sweeps
-// resynchronize cleanly. Caller holds the write lock.
-func (m *Monitor) clearSweepsLocked() {
-	m.sweepMu.Lock()
-	m.sweeps = nil
-	m.sweepOrder = nil
-	m.sweepMu.Unlock()
-	m.changeLog = m.changeLog[:0]
 }
 
 // updateGraphGauges publishes the maintained graph sizes. Last writer
@@ -736,11 +718,11 @@ func (m *Monitor) GraphStatsSnapshot() GraphStats {
 // as the cancellation and tracing handle (mirroring the package-level
 // Check). Monotone clique algorithms reuse the incrementally
 // maintained conflict pairs, the Θ_I component partition, and the
-// delta-aware verdict cache; other algorithm choices fall through to
-// the stateless pipeline — in particular, non-monotonic queries route
-// to the exhaustive solver and never touch the cache, because their
-// verdicts do not decompose per component. Either way the check runs
-// through the same front door and instrumentation as the stateless
+// verdict store; other algorithm choices fall through to the stateless
+// pipeline — in particular, non-monotonic queries route to the
+// exhaustive solver and never touch the store, because their verdicts
+// do not decompose per component. Either way the check runs through
+// the same front door and instrumentation as the stateless
 // Check: query validation, the Boolean guard, schema checking,
 // Simplify, per-stage spans and durations, and the registry metrics.
 func (m *Monitor) Check(ctx context.Context, q *query.Query, opts Options) (*Result, error) {
@@ -759,7 +741,7 @@ func (m *Monitor) Check(ctx context.Context, q *query.Query, opts Options) (*Res
 	// Resolve auto-routing for monotonic queries here rather than in
 	// checkContext: the monitor prefers the clique algorithms even when
 	// the fd-only solver would apply, because only they can reuse the
-	// incrementally maintained conflict pairs and the verdict cache.
+	// incrementally maintained conflict pairs and the verdict store.
 	algo := opts.Algorithm
 	if algo == AlgoAuto && q.IsMonotonic() {
 		if q.IsConnected() {
@@ -768,39 +750,30 @@ func (m *Monitor) Check(ctx context.Context, q *query.Query, opts Options) (*Res
 			algo = AlgoNaive
 		}
 	}
-	var env checkEnv
 	if algo == AlgoNaive || algo == AlgoOpt {
 		opts.Algorithm = algo
-		// The hooks read m.ids, m.byID, m.conflictAdj, and m.parts;
-		// the read lock held for the duration of the check keeps them
-		// stable, including for the parallel workers (all of which
-		// finish inside this call). The verdict cache and the sweep
-		// states have their own locks, so concurrent Checks share them
-		// safely; both are only ever cleared under the write lock,
-		// which cannot run while we hold read.
-		env.fdGraph = m.fdGraphFromConflicts
-		env.components = m.seededComponents
-		if m.cache != nil {
-			env.cache = monitorCacheView{m: m}
-			if algo == AlgoOpt {
-				env.sweep = &monitorSweeper{m: m}
-			}
-		}
 	}
-	res, err := checkContext(ctx, snapshot, q, opts, env)
+	// The clique search reads m.ids, m.byID, m.conflictAdj, and
+	// m.parts; the read lock held for the duration of the check keeps
+	// them stable, including for the parallel workers (all of which
+	// finish inside this call). The verdict tables have their own
+	// locks, so concurrent Checks share them safely; the store is only
+	// cleared under the write lock, which cannot run while we hold
+	// read.
+	res, err := checkContext(ctx, snapshot, q, opts, checkEnv{mon: m})
 	if res != nil && len(res.Witness) > 0 {
 		res.WitnessIDs = m.idsForSlotsLocked(res.Witness)
 	}
 	return res, err
 }
 
-// CacheStats snapshots the incremental verdict cache's counters. The
-// zero CacheStats is returned when caching is disabled.
+// CacheStats snapshots the verdict store's counters. The zero
+// CacheStats is returned when verdict reuse is disabled.
 func (m *Monitor) CacheStats() CacheStats {
-	if m.cache == nil {
+	if m.store == nil {
 		return CacheStats{}
 	}
-	return m.cache.snapshot()
+	return m.store.snapshot()
 }
 
 // fdGraphFromConflicts assembles a component's fd graph from the
@@ -823,9 +796,9 @@ func (m *Monitor) fdGraphFromConflicts(comp []int) *fdCompGraph {
 	return newFDCompGraph(comp, pairs)
 }
 
-// seededComponents is the Monitor's componentsFn hook: the Θ_I side of
-// the ind-q split comes from the maintained partition (restricted to
-// the subset) instead of a from-scratch bucket pass, so only the
+// seededComponents runs the direct phase of the ind-q split over the
+// subset: the Θ_I side comes from the maintained partition (restricted
+// to the subset) instead of a from-scratch bucket pass, so only the
 // query-derived Θ_q edges run per Check (and the state-bridge closure,
 // when a satisfied verdict needs it). The maintained partition covers
 // ALL pending transactions while the subset here is typically the live
@@ -874,6 +847,17 @@ func (m *Monitor) idsForSlotsLocked(slots []int) []int {
 	out := make([]int, len(slots))
 	for i, s := range slots {
 		out[i] = m.ids[s]
+	}
+	sort.Ints(out)
+	return out
+}
+
+// slotsForIDsLocked maps stable ids to their current pending slots,
+// sorted: the inverse of idsForSlotsLocked.
+func (m *Monitor) slotsForIDsLocked(ids []int) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = m.byID[id]
 	}
 	sort.Ints(out)
 	return out

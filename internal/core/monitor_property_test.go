@@ -17,7 +17,8 @@ import (
 // add/commit/drop sequences and, after every step, cross-validates its
 // incrementally maintained state against a freshly constructed
 // database: same conflict-pair count, same appendability statuses, and
-// the same verdicts for a battery of denial constraints.
+// the same verdicts for a battery of denial constraints, for every
+// storeVariants Monitor.
 func TestMonitorEquivalentToFreshDatabase(t *testing.T) {
 	queries := []string{
 		"q() :- TxOut(t, s, 'U0Pk', a)",
@@ -30,7 +31,8 @@ func TestMonitorEquivalentToFreshDatabase(t *testing.T) {
 		// Start from a bitcoin-like database; the monitor ingests its
 		// pending set.
 		base := bitcoinLikeDB(r)
-		mon := NewMonitor(base)
+		variants := storeVariants(base)
+		mon := variants[0].mon
 		// Mirror state: the transactions currently pending, and a clone
 		// of the committed state.
 		mirror := base.State.Clone()
@@ -78,17 +80,19 @@ func TestMonitorEquivalentToFreshDatabase(t *testing.T) {
 			// Verdicts.
 			for _, src := range queries {
 				q := query.MustParse(src)
-				mres, err := mon.Check(context.Background(), q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
 				fres, err := Check(context.Background(), fresh, q, Options{Algorithm: AlgoExhaustive})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mres.Satisfied != fres.Satisfied {
-					t.Logf("seed %d %s: %s monitor %v, fresh %v", seed, step, src, mres.Satisfied, fres.Satisfied)
-					return false
+				for _, v := range variants {
+					mres, err := v.mon.Check(context.Background(), q, v.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mres.Satisfied != fres.Satisfied {
+						t.Logf("seed %d %s %s: %s monitor %v, fresh %v", seed, v.name, step, src, mres.Satisfied, fres.Satisfied)
+						return false
+					}
 				}
 			}
 			return true
@@ -109,9 +113,11 @@ func TestMonitorEquivalentToFreshDatabase(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				id, err := mon.AddPending(tx)
-				if err != nil {
-					t.Fatal(err)
+				id := nextID
+				for _, v := range variants {
+					if got, err := v.mon.AddPending(tx); err != nil || got != id {
+						t.Fatalf("%s: AddPending = %d, %v; want id %d", v.name, got, err, id)
+					}
 				}
 				pend = append(pend, slot{id: id, tx: norm})
 				nextID++
@@ -120,8 +126,10 @@ func TestMonitorEquivalentToFreshDatabase(t *testing.T) {
 					continue
 				}
 				i := r.Intn(len(pend))
-				if err := mon.DropPending(pend[i].id); err != nil {
-					t.Fatal(err)
+				for _, v := range variants {
+					if err := v.mon.DropPending(pend[i].id); err != nil {
+						t.Fatal(err)
+					}
 				}
 				pend = append(pend[:i], pend[i+1:]...)
 			case 2: // commit a random appendable transaction
@@ -132,8 +140,10 @@ func TestMonitorEquivalentToFreshDatabase(t *testing.T) {
 				if !mon.Appendable(pend[i].id) {
 					continue
 				}
-				if err := mon.Commit(pend[i].id); err != nil {
-					t.Fatal(err)
+				for _, v := range variants {
+					if err := v.mon.Commit(pend[i].id); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if err := mirror.InsertTransaction(pend[i].tx); err != nil {
 					t.Fatal(err)

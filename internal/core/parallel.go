@@ -14,11 +14,12 @@ import (
 
 // searchOutcome is a stopping result from one unit of search work: a
 // violating world or an error. Units that finish clean or are filtered
-// out produce none.
+// out produce none. unit is the index of the unit that stopped.
 type searchOutcome struct {
 	hit     bool
 	witness []int
 	err     error
+	unit    int
 }
 
 // runDeterministic runs n units of work, indexed in serial order, and
@@ -50,6 +51,7 @@ func runDeterministic(ctx context.Context, n, workers int, stats *Stats, run fun
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if o := run(ctx, i, stats); o != nil {
+				o.unit = i
 				return o
 			}
 		}
@@ -89,6 +91,7 @@ func runPool(ctx context.Context, n, workers int, stats *Stats, run func(ctx con
 		if o == nil || (!o.hit && isCtxErr(o.err)) || i >= bound {
 			return
 		}
+		o.unit = i
 		outcomes[i] = o
 		bound = i
 		for _, cancel := range cancels[i+1:] {
@@ -171,13 +174,15 @@ const branchesPerWorker = 4
 // reports what the serial loop would.
 //
 // A unit is normally one component, worked lazily when dequeued: the
-// covers filter, the verdict-cache lookup, the fd-graph build, then one
+// covers filter, the split-table lookup, the fd-graph build, then one
 // cliqueSearch walked from the graph's root branch, whose verdict is
 // stored back. A lone component with more than one worker has nothing
 // to share at that grain, so it is filtered, looked up and built once
 // up front, and its CliqueBranches — which partition its maximal
 // cliques, in the order the whole walk reaches them — become the units
-// instead; its verdict is stored once all branches resolve.
+// instead; its verdict is stored once all branches resolve. A
+// violation leaves the later components unreached; their table entries
+// are re-stamped as still current.
 func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, groups [][]int, targets []atomFilter, workers int, env checkEnv, stats *Stats) *searchOutcome {
 	var split *fdCompGraph
 	var branches []graph.CliqueBranch
@@ -191,7 +196,7 @@ func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, group
 		if o, ok := env.cached(comp, stats); ok {
 			return o
 		}
-		split = env.buildGraph(comp, stats)
+		split = env.buildGraph(d, comp, stats)
 		splitStart := time.Now()
 		branches = graph.CliqueBranches(split.g, workers*branchesPerWorker)
 		stats.CliqueDur += time.Since(splitStart)
@@ -209,13 +214,15 @@ func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, group
 		if o, ok := env.cached(comp, local); ok {
 			return o
 		}
-		cg := env.buildGraph(comp, local)
+		cg := env.buildGraph(d, comp, local)
 		o := newCliqueSearch(uctx, d, cg, env, local).walk(graph.RootBranch(cg.g))
 		env.remember(comp, o)
 		return o
 	})
 	if split != nil {
 		env.remember(groups[0], o)
+	} else if o != nil && o.hit {
+		env.restamp(groups[o.unit+1:])
 	}
 	return o
 }

@@ -37,8 +37,8 @@ const (
 	MetricPoolUtilization   = "dcsat_pool_utilization_permille"
 	MetricPoolSaturation    = "dcsat_pool_saturation_permille"
 
-	// Monitor persistent graphs and the per-query delta sweep
-	// (internal/core monitor.go / sweep.go).
+	// Monitor persistent graphs and the sweep selector of the verdict
+	// store (internal/core monitor.go / verdicts.go).
 	MetricCommitRefreshes = "monitor_commit_refreshes_total"
 	MetricSweepRebuilds   = "dcsat_sweep_rebuilds_total"
 	MetricSweepReplayed   = "dcsat_sweep_replayed_total"
