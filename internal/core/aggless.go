@@ -38,8 +38,9 @@ func aggFDOnlyApplies(q *query.Query) bool {
 // the minimal world R ∪ S for a support S of any single assignment in
 // that world. The solver therefore enumerates assignments of the body
 // over R ∪ ∪T, enumerates each assignment's fd-compatible supports, and
-// evaluates the full aggregate on each minimal world.
-func aggFDOnlyDCSat(ctx context.Context, d *possible.DB, q *query.Query) (*Result, error) {
+// evaluates the full aggregate on each minimal world. live is the
+// database's fd-live pending slots.
+func aggFDOnlyDCSat(ctx context.Context, d *possible.DB, q *query.Query, live []int) (*Result, error) {
 	if d.Constraints.HasINDs() {
 		return nil, fmt.Errorf("core: aggregate fd-only solver requires a database without inclusion dependencies")
 	}
@@ -48,7 +49,6 @@ func aggFDOnlyDCSat(ctx context.Context, d *possible.DB, q *query.Query) (*Resul
 			"(or min with >), not %s", q.Agg)
 	}
 	res := &Result{Satisfied: true}
-	live := liveTransactions(d)
 	union := relation.NewOverlay(d.State)
 	for _, i := range live {
 		union.Add(d.Pending[i])

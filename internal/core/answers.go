@@ -90,8 +90,8 @@ func PossibleAnswers(d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 		if err := collect(d.State); err != nil {
 			return nil, err
 		}
-		live := liveTransactions(d)
-		cg := buildFDGraph(d, live)
+		view := prepare(d)
+		cg := fdGraphFromConflicts(view.live(), view)
 		var evalErr error
 		cg.maximalCliques(func(subset []int) bool {
 			world, _ := d.GetMaximal(subset)

@@ -362,6 +362,9 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 		}
 	}
 	span.SetAttr("algorithm", algo.String())
+	if env.view == nil && algo != AlgoExhaustive {
+		env.view = prepare(d)
+	}
 	var res *Result
 	switch algo {
 	case AlgoNaive:
@@ -369,7 +372,7 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 	case AlgoOpt:
 		res, err = cliqueDCSat(ctx, d, q, opts, true, env)
 	case AlgoFDOnly:
-		res, err = fdOnlyDCSat(ctx, d, q)
+		res, err = fdOnlyDCSat(ctx, d, q, env.view.live())
 	case AlgoExhaustive:
 		res, err = exhaustiveDCSat(ctx, d, q)
 	default:
@@ -428,7 +431,9 @@ func finishCheck(checkID uint64, span *obs.Span, start time.Time, res *Result, o
 // (optimized=true) for monotonic denial constraints, with the
 // Section 6.3 pre-check: if q is false over R ∪ ∪T it is false over
 // every possible world (all of which are contained in that union), so
-// the denial constraint is satisfied.
+// the denial constraint is satisfied. Everything it knows about the
+// database beyond d itself — the union, the live slots, the Θ_I seeds
+// and the fd conflicts — it reads from env.view.
 func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Options, optimized bool, env checkEnv) (*Result, error) {
 	if !q.IsMonotonic() {
 		return nil, fmt.Errorf("core: %s requires a monotonic denial constraint; %s is not "+
@@ -440,7 +445,7 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	if !opts.DisablePrecheck {
 		_, preSpan := obs.Start(ctx, "precheck")
 		preStart := time.Now()
-		union := relation.NewOverlay(d.State, d.Pending...)
+		union := env.view.union()
 		res.Stats.WorldsEvaluated++
 		hit, err := query.Eval(q, union)
 		res.Stats.PrecheckDur = time.Since(preStart)
@@ -485,7 +490,7 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	}
 	_, liveSpan := obs.Start(ctx, "live_filter")
 	liveStart := time.Now()
-	live := liveTransactions(d)
+	live := env.view.live()
 	res.Stats.LiveFilterDur = time.Since(liveStart)
 	liveSpan.SetAttr("live", len(live))
 	liveSpan.SetAttr("pending", len(d.Pending))
@@ -501,11 +506,7 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	if optimized && q.IsConnected() {
 		_, splitSpan := obs.Start(ctx, "component_split")
 		splitStart := time.Now()
-		if env.mon != nil {
-			split = env.mon.seededComponents(live, q)
-		} else {
-			split = newIndQSplit(d, live, q, nil)
-		}
+		split = newIndQSplit(d, live, q, env.view.seeds())
 		groups = split.direct
 		res.Stats.ClosureDur = time.Since(splitStart)
 		splitSpan.SetAttr("components", len(groups))
@@ -753,20 +754,15 @@ func (s *cliqueSearch) Leaf(r []int) bool {
 // fd-compatible, such that the world R ∪ S also satisfies q's negated
 // atoms. Because |S| is bounded by the (constant) number of query
 // atoms, trying every combination of supports is polynomial in the
-// data.
-func fdOnlyDCSat(ctx context.Context, d *possible.DB, q *query.Query) (*Result, error) {
+// data. live is the database's fd-live pending slots.
+func fdOnlyDCSat(ctx context.Context, d *possible.DB, q *query.Query, live []int) (*Result, error) {
 	if d.Constraints.HasINDs() {
 		return nil, fmt.Errorf("core: AlgoFDOnly requires a database without inclusion dependencies")
 	}
 	if q.IsAggregate() {
-		return aggFDOnlyDCSat(ctx, d, q)
+		return aggFDOnlyDCSat(ctx, d, q, live)
 	}
 	res := &Result{Satisfied: true}
-	live := liveTransactions(d)
-	liveSet := make(map[int]bool, len(live))
-	for _, i := range live {
-		liveSet[i] = true
-	}
 	union := relation.NewOverlay(d.State)
 	for _, i := range live {
 		union.Add(d.Pending[i])

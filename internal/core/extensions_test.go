@@ -40,8 +40,8 @@ func TestContradictPaperDB(t *testing.T) {
 	}
 	// End to end: with the contradiction pending, no possible world can
 	// contain both it and T5.
-	d2 := *d
-	d2.Pending = append(append([]*relation.Transaction(nil), d.Pending...), contra)
+	d2 := &possible.DB{State: d.State, Constraints: d.Constraints,
+		Pending: append(append([]*relation.Transaction(nil), d.Pending...), contra)}
 	contraIdx := len(d2.Pending) - 1
 	if d2.IsReachable([]int{4, contraIdx}) {
 		t.Error("T5 and its contradiction coexist in a possible world")

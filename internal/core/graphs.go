@@ -93,15 +93,16 @@ func (cg *fdCompGraph) maximalCliques(yield func(members []int) bool) {
 	})
 }
 
-// buildFDGraph constructs the paper's fd-transaction graph G^fd_T
-// restricted to the pending transactions at the given (global)
-// indexes, in the sparse complement representation above.
+// fdConflictPairs finds the conflict pairs (non-edges) of the paper's
+// fd-transaction graph G^fd_T restricted to the pending transactions at
+// the given (global) indexes, as deduplicated pairs of local indexes
+// into subset.
 //
 // Rather than testing all O(n²) pairs, conflicts are discovered by
 // hashing: for every FD, transactions are bucketed by the LHS
 // projections of their tuples; only buckets holding two different RHS
 // projections produce conflict pairs.
-func buildFDGraph(d *possible.DB, subset []int) *fdCompGraph {
+func fdConflictPairs(d *possible.DB, subset []int) [][2]int {
 	// Occupants carry the tuple, not a materialized RHS key: bucketing
 	// then only allocates the map key string on the first insert per
 	// distinct LHS projection (map reads use the non-allocating
@@ -158,14 +159,14 @@ func buildFDGraph(d *possible.DB, subset []int) *fdCompGraph {
 			}
 		}
 	}
-	return newFDCompGraph(subset, pairs)
+	return pairs
 }
 
 // FDGraph exposes the fd-transaction graph over all pending
 // transactions for tooling and benchmarks; vertex i corresponds to
 // Pending[i].
 func FDGraph(d *possible.DB) *graph.Undirected {
-	return buildFDGraph(d, allPending(d)).dense()
+	return fdGraphFromConflicts(allPending(d), prepare(d)).dense()
 }
 
 // liveTransactions returns the indexes of pending transactions that
@@ -175,7 +176,9 @@ func FDGraph(d *possible.DB) *graph.Undirected {
 // subset of every world, so they can never be appended — and dropping
 // them shrinks the clique enumeration without changing the answer.
 // (This materializes the paper's precomputed "can T be included in R"
-// status from Section 6.3.)
+// status from Section 6.3.) The stateless prepared view calls it once
+// per database version; the Monitor maintains the same status per
+// transaction.
 func liveTransactions(d *possible.DB) []int {
 	live := make([]int, 0, len(d.Pending))
 	for i, tx := range d.Pending {
@@ -288,24 +291,17 @@ func (f *atomFilter) matches(t value.Tuple, buf *[]byte) bool {
 }
 
 // newIndQSplit runs the direct phase over the pending transactions at
-// the given (global) indexes. With seedGroups nil, the Θ_I side comes
-// from a bucket pass over the inclusion dependencies. Otherwise each
-// seed group is a set of LOCAL subset indexes already known to be
-// connected, and the groups are pre-unioned instead. Seeding with a
-// COARSER-or-equal partition than the true Θ_I one is sound (groups
+// the given (global) indexes. The Θ_I side is given as seed groups of
+// LOCAL subset indexes already known to be connected, which are
+// pre-unioned; only the query's Θ_q edges are found here. Seeding with
+// a COARSER-or-equal partition than the true Θ_I one is sound (groups
 // may only grow, never split), which is what the Monitor provides: its
 // partition is over all pending transactions, while the subset here is
 // the live ones, so a dead transaction can act as a bridge and merge
-// two groups that the bucket pass would keep apart. A nil q yields the
-// Θ_I partition alone.
+// two groups that thetaISeeds would keep apart. A nil q yields the
+// seeded partition alone.
 func newIndQSplit(d *possible.DB, subset []int, q *query.Query, seedGroups [][]int) *indQSplit {
 	s := &indQSplit{d: d, subset: subset, uf: newGrowingUnionFind(len(subset))}
-	if seedGroups == nil {
-		for i, ind := range d.Constraints.INDs {
-			cols, refCols := d.Constraints.INDColumns(i)
-			s.unionMatching(s.buckets(ind.Rel, cols, nil), s.buckets(ind.RefRel, refCols, nil))
-		}
-	}
 	for _, g := range seedGroups {
 		for _, l := range g[1:] {
 			s.uf.union(g[0], l)
@@ -332,6 +328,37 @@ func newIndQSplit(d *possible.DB, subset []int, q *query.Query, seedGroups [][]i
 	}
 	s.direct = s.groups(nil)
 	return s
+}
+
+// thetaISeeds is the from-scratch Θ_I pass: the connected components
+// of the ind-transaction graph G^ind_T over the pending transactions at
+// the given (global) indexes, found by bucketing both sides of every
+// inclusion dependency. Components are returned as groups of local
+// indexes into subset, in the form newIndQSplit takes as seeds; groups
+// of one are left out. The stateless prepared view calls it once per
+// database version.
+func thetaISeeds(d *possible.DB, subset []int) [][]int {
+	s := &indQSplit{d: d, subset: subset, uf: newGrowingUnionFind(len(subset))}
+	for i, ind := range d.Constraints.INDs {
+		cols, refCols := d.Constraints.INDColumns(i)
+		s.unionMatching(s.buckets(ind.Rel, cols, nil), s.buckets(ind.RefRel, refCols, nil))
+	}
+	byRoot := make(map[int][]int)
+	var roots []int
+	for local := range subset {
+		r := s.uf.find(local)
+		if byRoot[r] == nil {
+			roots = append(roots, r)
+		}
+		byRoot[r] = append(byRoot[r], local)
+	}
+	var seeds [][]int
+	for _, r := range roots {
+		if g := byRoot[r]; len(g) > 1 {
+			seeds = append(seeds, g)
+		}
+	}
+	return seeds
 }
 
 // buckets maps each projection on cols of the subset's rel tuples that

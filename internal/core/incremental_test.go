@@ -289,6 +289,104 @@ func TestSweepRecomputeSkipsSplitTable(t *testing.T) {
 	}
 }
 
+// TestSweepReplayRecomputesJoinedRoot: a transaction that joins an
+// existing component changes that component's membership without
+// changing its root. The sweep's journal replay must recompute the
+// root, whose verdict it already holds, rather than replay it: here the
+// new member completes a reachable chain to the watched payee, so the
+// verdict flips to violated.
+func TestSweepReplayRecomputesJoinedRoot(t *testing.T) {
+	s := fixture.BitcoinSchema()
+	cons := fixture.BitcoinConstraints(s)
+	// P mints an output and C spends it: one Θ_I component of two.
+	// Z is an unrelated component of one.
+	p := relation.NewTransaction("P").
+		Add("TxOut", fixture.TxOut(50, 1, "APk", 1))
+	c := relation.NewTransaction("C").
+		Add("TxIn", fixture.TxIn(50, 1, "APk", 1, 51, "ASig")).
+		Add("TxOut", fixture.TxOut(51, 1, "BPk", 1))
+	z := relation.NewTransaction("Z").
+		Add("TxOut", fixture.TxOut(90, 1, "U3Pk", 1))
+	m := NewMonitor(possible.MustNew(s, cons, []*relation.Transaction{p, c, z}))
+	q := query.MustParse("q() :- TxOut(t, s, 'WatchPk', a)")
+	if !sweepEligible(q) {
+		t.Fatal("query is not sweep-eligible")
+	}
+	opts := Options{Algorithm: AlgoOpt, DisablePrecheck: true}
+	check := func() *Result {
+		t.Helper()
+		res, err := m.Check(context.Background(), q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, step := range []string{"cold", "warm"} {
+		if res := check(); !res.Satisfied {
+			t.Fatalf("%s: violated before the chain reaches WatchPk", step)
+		}
+	}
+	m.mu.RLock()
+	root, _ := m.parts.Root(0)
+	m.mu.RUnlock()
+	// N spends C's output and pays WatchPk: it joins {P, C}, whose root
+	// absorbs it.
+	nID, err := m.AddPending(relation.NewTransaction("N").
+		Add("TxIn", fixture.TxIn(51, 1, "BPk", 1, 52, "BSig")).
+		Add("TxOut", fixture.TxOut(52, 1, "WatchPk", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.RLock()
+	joined, _ := m.parts.Root(nID)
+	m.mu.RUnlock()
+	if joined != root {
+		t.Fatalf("N's component root is %d, want the existing root %d", joined, root)
+	}
+	res := check()
+	if res.Satisfied {
+		t.Fatal("the check after N joined replayed the component's stale satisfied verdict")
+	}
+	if res.Stats.SweepReplays == 0 {
+		t.Fatal("the check did not answer from a sweep replay")
+	}
+	checkWitnessWorld(t, m, q, res.Witness)
+	if want := []int{0, 1, nID}; fmt.Sprint(res.WitnessIDs) != fmt.Sprint(want) {
+		t.Fatalf("witness ids %v, want %v", res.WitnessIDs, want)
+	}
+}
+
+// TestSplitMissBuildsKeyOnce: a split-table miss followed by the store
+// of its verdict builds the component's key once. The key build
+// allocates three times (the id slice, the encoded bytes and the
+// string) and the entry once.
+func TestSplitMissBuildsKeyOnce(t *testing.T) {
+	m := NewMonitor(victimDB(t))
+	// The atom pair keeps the query off the sweep.
+	q := query.MustParse("q() :- TxIn(pt, ps, pk, a, nt, sig), TxOut(nt, s2, 'VictimPk', a2)")
+	env := checkEnv{mon: m}
+	if env.useTable(q, Options{}, true) {
+		t.Fatal("query went to a sweep table")
+	}
+	comp := []int{0, 1}
+	var stats Stats
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	allocs := testing.AllocsPerRun(100, func() {
+		_, key, ok := env.cached(comp, &stats)
+		if ok {
+			t.Fatal("lookup hit: the previous run's entry survived")
+		}
+		env.remember(key, nil)
+		env.table.mu.Lock()
+		delete(env.table.byIDs, key) // the next run misses again
+		env.table.mu.Unlock()
+	})
+	if allocs > 4 {
+		t.Fatalf("miss + store made %.0f allocations, want at most 4", allocs)
+	}
+}
+
 // TestWithObserverRoutesMonitorEvents: lifecycle events land in the
 // journal passed via WithObserver.
 func TestWithObserverRoutesMonitorEvents(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"blockchaindb/internal/graph"
 	"blockchaindb/internal/obs"
@@ -28,6 +29,8 @@ import (
 //     dynamic union-find (graph.DynamicPartition); the query-specific
 //     Θ_q edges and the state-bridge closure are added per Check, as in
 //     the paper, seeded from the maintained partition;
+//   - the union R ∪ ∪T the precheck evaluates on, extended in place by
+//     AddPending and rebuilt by the first check after a drop or commit;
 //   - the stable external ids of the pending transactions and a journal
 //     of the partition roots each mutation touched, which key the
 //     verdict store (verdicts.go): one table per standing query that
@@ -75,6 +78,14 @@ type Monitor struct {
 	selfOK     map[int]bool // id -> fd-self-consistent (immutable per tx)
 	live       map[int]bool // id -> selfOK && no fd conflict with state
 	liveCount  int
+
+	// union is R ∪ ∪T, or nil until a check needs it. AddPending extends
+	// it in place under the write lock; DropPending, Commit and
+	// CommitExternal drop it, since an overlay cannot shed tuples and a
+	// grown state would duplicate them. Checks, which hold only the read
+	// lock, rebuild it under unionMu (see unionOverlay).
+	unionMu sync.Mutex
+	union   atomic.Pointer[relation.Overlay]
 
 	// Mutation journal for the sweep tables: gen counts mutations (and
 	// stamps the partition), changeLog records the component roots each
@@ -217,6 +228,9 @@ func (m *Monitor) addLocked(tx *relation.Transaction) int {
 	m.byID[id] = len(m.db.Pending)
 	m.db.Pending = append(m.db.Pending, tx)
 	m.ids = append(m.ids, id)
+	if u := m.union.Load(); u != nil {
+		u.Add(tx)
+	}
 	// Update fd buckets and conflict pairs.
 	for fdIdx := range m.db.Constraints.FDs {
 		lhsKeys, rhsKeys := m.db.Constraints.FDKeys(fdIdx, tx)
@@ -410,6 +424,7 @@ func (m *Monitor) removeLocked(id int) error {
 		return fmt.Errorf("core: unknown pending transaction %d", id)
 	}
 	m.gen++
+	m.union.Store(nil)
 	tx := m.db.Pending[slot]
 	for fdIdx := range m.db.Constraints.FDs {
 		lhsKeys, rhsKeys := m.db.Constraints.FDKeys(fdIdx, tx)
@@ -584,6 +599,7 @@ func (m *Monitor) CommitExternal(tx *relation.Transaction) error {
 	if err := m.db.State.InsertTransaction(norm); err != nil {
 		return err
 	}
+	m.union.Store(nil)
 	refreshed := m.refreshAfterCommitLocked(norm)
 	m.clearVerdictsLocked("commit_external")
 	m.journal.Append(obs.EvMonitorCommitExternal, 0, "",
@@ -753,14 +769,14 @@ func (m *Monitor) Check(ctx context.Context, q *query.Query, opts Options) (*Res
 	if algo == AlgoNaive || algo == AlgoOpt {
 		opts.Algorithm = algo
 	}
-	// The clique search reads m.ids, m.byID, m.conflictAdj, and
-	// m.parts; the read lock held for the duration of the check keeps
-	// them stable, including for the parallel workers (all of which
-	// finish inside this call). The verdict tables have their own
-	// locks, so concurrent Checks share them safely; the store is only
-	// cleared under the write lock, which cannot run while we hold
-	// read.
-	res, err := checkContext(ctx, snapshot, q, opts, checkEnv{mon: m})
+	// The clique search reads m.ids, m.byID, m.live, m.conflictAdj,
+	// m.parts and the union through the monitorView; the read lock held
+	// for the duration of the check keeps them stable, including for the
+	// parallel workers (all of which finish inside this call). The
+	// verdict tables have their own locks, so concurrent Checks share
+	// them safely; the store is only cleared under the write lock, which
+	// cannot run while we hold read.
+	res, err := checkContext(ctx, snapshot, q, opts, checkEnv{view: &monitorView{m: m}, mon: m})
 	if res != nil && len(res.Witness) > 0 {
 		res.WitnessIDs = m.idsForSlotsLocked(res.Witness)
 	}
@@ -776,51 +792,21 @@ func (m *Monitor) CacheStats() CacheStats {
 	return m.store.snapshot()
 }
 
-// fdGraphFromConflicts assembles a component's fd graph from the
-// maintained conflict adjacency, sparsely: O(|comp| + conflicts
-// incident to it), instead of iterating a global pair set or
-// allocating a complete bitset over all members.
-func (m *Monitor) fdGraphFromConflicts(comp []int) *fdCompGraph {
-	idLocal := make(map[int]int, len(comp))
-	for local, slot := range comp {
-		idLocal[m.ids[slot]] = local
+// unionOverlay returns R ∪ ∪T over the monitored database, building
+// it if a mutation dropped it. Callers hold the read lock; unionMu
+// makes concurrent checks after a drop build it once.
+func (m *Monitor) unionOverlay() *relation.Overlay {
+	if u := m.union.Load(); u != nil {
+		return u
 	}
-	var pairs [][2]int
-	for local, slot := range comp {
-		for oid := range m.conflictAdj[m.ids[slot]] {
-			if ol, ok := idLocal[oid]; ok && ol > local {
-				pairs = append(pairs, [2]int{local, ol})
-			}
-		}
+	m.unionMu.Lock()
+	defer m.unionMu.Unlock()
+	if u := m.union.Load(); u != nil {
+		return u
 	}
-	return newFDCompGraph(comp, pairs)
-}
-
-// seededComponents runs the direct phase of the ind-q split over the
-// subset: the Θ_I side comes from the maintained partition (restricted
-// to the subset) instead of a from-scratch bucket pass, so only the
-// query-derived Θ_q edges run per Check (and the state-bridge closure,
-// when a satisfied verdict needs it). The maintained partition covers
-// ALL pending transactions while the subset here is typically the live
-// ones; a dead transaction can bridge two live groups, making the seed
-// coarser than the from-scratch Θ_I partition over the subset — sound
-// (groups only grow), and exactly the coarsening NaiveDCSat lives with
-// globally.
-func (m *Monitor) seededComponents(subset []int, q *query.Query) *indQSplit {
-	seeds := make(map[int][]int, len(subset))
-	for local, slot := range subset {
-		r, ok := m.parts.Root(m.ids[slot])
-		if !ok {
-			// Unreachable: every pending slot has a partition entry.
-			return newIndQSplit(m.db, subset, q, nil)
-		}
-		seeds[r] = append(seeds[r], local)
-	}
-	groups := make([][]int, 0, len(seeds))
-	for _, g := range seeds {
-		groups = append(groups, g)
-	}
-	return newIndQSplit(m.db, subset, q, groups)
+	u := relation.NewOverlay(m.db.State, m.db.Pending...)
+	m.union.Store(u)
+	return u
 }
 
 // IDsForSlots maps pending slots to stable ids, sorted. Slots shift

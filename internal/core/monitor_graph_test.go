@@ -14,6 +14,7 @@ import (
 	"blockchaindb/internal/possible"
 	"blockchaindb/internal/query"
 	"blockchaindb/internal/relation"
+	"blockchaindb/internal/value"
 )
 
 // assertMonitorGraphs is the differential oracle for the Monitor's
@@ -95,7 +96,7 @@ func assertMonitorGraphs(t testing.TB, m *Monitor, step string) bool {
 		sort.Strings(keys)
 		return keys
 	}
-	freshGroups := newIndQSplit(d, all, nil, nil).direct
+	freshGroups := newIndQSplit(d, all, nil, thetaISeeds(d, all)).direct
 	wantParts := make([][]int, 0, len(freshGroups))
 	for _, g := range freshGroups {
 		ids := make([]int, len(g))
@@ -148,7 +149,105 @@ func assertMonitorGraphs(t testing.TB, m *Monitor, step string) bool {
 			return false
 		}
 	}
+	return assertMonitorView(t, m, step)
+}
+
+// assertMonitorView is the differential oracle for the prepared view a
+// Monitor check reads (monitorView): its live slots, its union's tuples
+// per relation, its Θ_I seeds and its conflict adjacency must equal
+// from-scratch builds over the same database. Seeds may be coarser
+// than the Θ_I components of the live slots, but only through
+// connections the Θ_I components of ALL pending transactions make.
+// Callers hold the read lock. Reading the union builds it when a
+// mutation dropped it, so the AddPending that follows extends it in
+// place.
+func assertMonitorView(t testing.TB, m *Monitor, step string) bool {
+	t.Helper()
+	d := m.db
+	v := &monitorView{m: m}
+
+	live := v.live()
+	if want := liveTransactions(d); fmt.Sprint(live) != fmt.Sprint(want) {
+		t.Logf("%s: view live slots %v, fresh %v", step, live, want)
+		return false
+	}
+
+	fresh := relation.NewOverlay(d.State, d.Pending...)
+	union := v.union()
+	for _, rel := range d.State.Names() {
+		got, want := overlayKeys(union, rel), overlayKeys(fresh, rel)
+		if strings.Join(got, ";") != strings.Join(want, ";") {
+			t.Logf("%s: view union %s holds %d tuples %v, fresh %d %v", step, rel, len(got), got, len(want), want)
+			return false
+		}
+	}
+
+	// Seeds, as a component label per local index into live.
+	label := func(groups [][]int) []int {
+		l := make([]int, len(live))
+		for i := range l {
+			l[i] = -1 - i // ungrouped: a group of its own
+		}
+		for gi, g := range groups {
+			for _, local := range g {
+				l[local] = gi
+			}
+		}
+		return l
+	}
+	got, finer := label(v.seeds()), label(thetaISeeds(d, live))
+	all := allPending(d)
+	coarsest := make([]int, len(all))
+	for _, g := range thetaISeeds(d, all) {
+		for _, slot := range g {
+			coarsest[slot] = g[0] + 1
+		}
+	}
+	for i := range live {
+		for j := i + 1; j < len(live); j++ {
+			if finer[i] == finer[j] && got[i] != got[j] {
+				t.Logf("%s: view seeds split live slots %d and %d, which Θ_I connects", step, live[i], live[j])
+				return false
+			}
+			if got[i] == got[j] && (coarsest[live[i]] == 0 || coarsest[live[i]] != coarsest[live[j]]) {
+				t.Logf("%s: view seeds join live slots %d and %d, which no Θ_I path connects", step, live[i], live[j])
+				return false
+			}
+		}
+	}
+
+	adj := make([]map[int]bool, len(all))
+	for i := range adj {
+		adj[i] = make(map[int]bool)
+	}
+	for _, p := range fdConflictPairs(d, all) {
+		adj[p[0]][p[1]] = true
+		adj[p[1]][p[0]] = true
+	}
+	for slot := range all {
+		conf := v.appendConflicts(nil, slot)
+		gotSet := make(map[int]bool, len(conf))
+		for _, o := range conf {
+			gotSet[o] = true
+		}
+		if len(gotSet) != len(conf) || fmt.Sprint(gotSet) != fmt.Sprint(adj[slot]) {
+			t.Logf("%s: view conflicts of slot %d %v, fresh %v", step, slot, conf, adj[slot])
+			return false
+		}
+	}
 	return true
+}
+
+// overlayKeys lists the view's tuples of one relation as text, sorted,
+// duplicates kept.
+func overlayKeys(v relation.View, rel string) []string {
+	var keys []string
+	v.Scan(rel, func(t value.Tuple) bool {
+		keys = append(keys, t.String())
+		return true
+	})
+	sort.Strings(keys)
+	return keys
 }
 
 // driveMonitorGraphs runs one randomized mutation sequence against the
@@ -237,8 +336,9 @@ func driveMonitorGraphs(t testing.TB, seed int64, steps int) bool {
 // TestMonitorGraphsMatchFromScratch is the randomized differential
 // property test: maintained conflict pairs ≡ pairwise FD compatibility,
 // maintained partition ≡ from-scratch Θ_I components, maintained
-// liveness/appendability ≡ recomputation, after every mutation of a
-// random Add/Drop/Commit/CommitExternal sequence.
+// liveness/appendability ≡ recomputation, and the prepared view a check
+// reads ≡ from-scratch builds, after every mutation of a random
+// Add/Drop/Commit/CommitExternal sequence.
 func TestMonitorGraphsMatchFromScratch(t *testing.T) {
 	f := func(seed int64) bool { return driveMonitorGraphs(t, seed, 10) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

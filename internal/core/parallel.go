@@ -184,8 +184,11 @@ const branchesPerWorker = 4
 // violation leaves the later components unreached; their table entries
 // are re-stamped as still current.
 func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, groups [][]int, targets []atomFilter, workers int, env checkEnv, stats *Stats) *searchOutcome {
-	var split *fdCompGraph
-	var branches []graph.CliqueBranch
+	var (
+		split    *fdCompGraph
+		splitKey string
+		branches []graph.CliqueBranch
+	)
 	n := len(groups)
 	if n == 1 && workers > 1 {
 		comp := groups[0]
@@ -193,10 +196,12 @@ func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, group
 			return nil
 		}
 		stats.ComponentsCovered++
-		if o, ok := env.cached(comp, stats); ok {
+		o, key, ok := env.cached(comp, stats)
+		if ok {
 			return o
 		}
-		split = env.buildGraph(d, comp, stats)
+		splitKey = key
+		split = env.buildGraph(comp, stats)
 		splitStart := time.Now()
 		branches = graph.CliqueBranches(split.g, workers*branchesPerWorker)
 		stats.CliqueDur += time.Since(splitStart)
@@ -211,16 +216,17 @@ func searchComponents(ctx context.Context, d *possible.DB, q *query.Query, group
 			return nil
 		}
 		local.ComponentsCovered++
-		if o, ok := env.cached(comp, local); ok {
+		o, key, ok := env.cached(comp, local)
+		if ok {
 			return o
 		}
-		cg := env.buildGraph(d, comp, local)
-		o := newCliqueSearch(uctx, d, cg, env, local).walk(graph.RootBranch(cg.g))
-		env.remember(comp, o)
+		cg := env.buildGraph(comp, local)
+		o = newCliqueSearch(uctx, d, cg, env, local).walk(graph.RootBranch(cg.g))
+		env.remember(key, o)
 		return o
 	})
 	if split != nil {
-		env.remember(groups[0], o)
+		env.remember(splitKey, o)
 	} else if o != nil && o.hit {
 		env.restamp(groups[o.unit+1:])
 	}

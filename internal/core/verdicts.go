@@ -206,12 +206,13 @@ func (t *verdictTable) size() int {
 }
 
 // checkEnv bundles the per-check plumbing threaded from checkContext
-// down through cliqueDCSat into the component search: the Monitor (nil
-// for the stateless Check), the split table and this check's epoch in
-// it (nil and zero when the check reuses no verdicts), the compiled
-// query plan every per-world evaluation reuses, and the check ID
-// journal events correlate on.
+// down through cliqueDCSat into the component search: the database's
+// prepared view, the Monitor (nil for the stateless Check), the split
+// table and this check's epoch in it (nil and zero when the check
+// reuses no verdicts), the compiled query plan every per-world
+// evaluation reuses, and the check ID journal events correlate on.
 type checkEnv struct {
+	view    preparedView
 	mon     *Monitor
 	table   *verdictTable
 	epoch   uint64
@@ -219,16 +220,11 @@ type checkEnv struct {
 	checkID uint64
 }
 
-// buildGraph builds a component's fd graph, timed as GraphBuildDur: from
-// the Monitor's maintained conflict pairs, or from scratch.
-func (env checkEnv) buildGraph(d *possible.DB, comp []int, stats *Stats) *fdCompGraph {
+// buildGraph builds a component's fd graph from the view's conflict
+// adjacency, timed as GraphBuildDur.
+func (env checkEnv) buildGraph(comp []int, stats *Stats) *fdCompGraph {
 	start := time.Now()
-	var cg *fdCompGraph
-	if env.mon != nil {
-		cg = env.mon.fdGraphFromConflicts(comp)
-	} else {
-		cg = buildFDGraph(d, comp)
-	}
+	cg := fdGraphFromConflicts(comp, env.view)
 	stats.GraphBuildDur += time.Since(start)
 	return cg
 }
@@ -275,18 +271,19 @@ func (env checkEnv) stamp(key string) *verdictEntry {
 
 // cached replays a component's verdict from the split table (journaled
 // as check_cached_component): ok reports a hit, and the outcome is nil
-// for a satisfied component. With no table every lookup misses
-// uncounted.
-func (env checkEnv) cached(comp []int, stats *Stats) (o *searchOutcome, ok bool) {
+// for a satisfied component. On a miss it returns the component's key
+// for remember. With no table every lookup misses uncounted.
+func (env checkEnv) cached(comp []int, stats *Stats) (o *searchOutcome, key string, ok bool) {
 	if env.table == nil {
-		return nil, false
+		return nil, "", false
 	}
-	e := env.stamp(env.splitKey(comp))
+	key = env.splitKey(comp)
+	e := env.stamp(key)
 	if e == nil {
 		stats.CacheMisses++
 		env.mon.store.misses.Add(1)
 		mCacheMisses.Inc()
-		return nil, false
+		return nil, key, false
 	}
 	stats.ComponentsCached++
 	stats.CacheHits++
@@ -296,15 +293,15 @@ func (env checkEnv) cached(comp []int, stats *Stats) (o *searchOutcome, ok bool)
 		obs.F("members", len(comp)),
 		obs.F("violated", e.violated))
 	if !e.violated {
-		return nil, true
+		return nil, key, true
 	}
-	return &searchOutcome{hit: true, witness: env.mon.slotsForIDsLocked(e.witness)}, true
+	return &searchOutcome{hit: true, witness: env.mon.slotsForIDsLocked(e.witness)}, key, true
 }
 
-// remember stores a finished search's verdict in the split table. A
-// search that ended in an error, cancellation included, has proven
-// nothing and stores nothing.
-func (env checkEnv) remember(comp []int, o *searchOutcome) {
+// remember stores a finished search's verdict in the split table under
+// the key its cached lookup returned. A search that ended in an error,
+// cancellation included, has proven nothing and stores nothing.
+func (env checkEnv) remember(key string, o *searchOutcome) {
 	if env.table == nil || (o != nil && o.err != nil) {
 		return
 	}
@@ -313,7 +310,6 @@ func (env checkEnv) remember(comp []int, o *searchOutcome) {
 		e.violated = true
 		e.witness = env.mon.idsForSlotsLocked(o.witness)
 	}
-	key := env.splitKey(comp)
 	t := env.table
 	t.mu.Lock()
 	if t.byIDs == nil {

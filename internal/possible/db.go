@@ -10,6 +10,9 @@ package possible
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"blockchaindb/internal/constraint"
 	"blockchaindb/internal/relation"
@@ -19,6 +22,15 @@ import (
 // DB is a blockchain database D = (R, I, T). Construct with New, which
 // validates R |= I and normalizes the pending transactions against the
 // state's schemas.
+//
+// A DB may be edited in place between checks: the fields may be
+// reassigned, Pending appended to or rewritten, and the state grown
+// through its methods. Two things must not change once in a DB: a
+// pending transaction's tuples (build a new Transaction instead), and
+// the state's relations behind its back (go through State's methods,
+// which bump relation.State.Version). Under that contract the DB's
+// prepared value (Prepared) always matches its contents. A DB must not
+// be copied after first use.
 type DB struct {
 	// State is the current state R: tuples already committed to the
 	// chain.
@@ -27,6 +39,49 @@ type DB struct {
 	Constraints *constraint.Set
 	// Pending is the transaction set T, in issue order.
 	Pending []*relation.Transaction
+
+	prepMu sync.Mutex
+	prep   atomic.Pointer[prepared]
+}
+
+// prepared is the DB's one memo slot: a value built from a snapshot of
+// the DB, with the version of the DB it was built from.
+type prepared struct {
+	version uint64 // snap.State.Version() at build time
+	snap    *DB    // State and Constraints as they were, Pending copied
+	val     any
+}
+
+// current reports whether d still holds what p was built from: the same
+// state at the same version, the same constraints, and the same pending
+// transactions in the same slots. The pending comparison is one pointer
+// compare per slot.
+func (p *prepared) current(d *DB) bool {
+	return p.snap.State == d.State && p.version == d.State.Version() &&
+		p.snap.Constraints == d.Constraints && slices.Equal(p.snap.Pending, d.Pending)
+}
+
+// Prepared returns the value build made for the DB's current version,
+// calling build only when the DB has changed since the last call (see
+// the DB contract). build receives a snapshot of the DB: its State and
+// Constraints and a copy of Pending, so what it (or a lazily filled
+// part of its value) reads stays as it was, even if the caller later
+// edits Pending in place. Concurrent callers on an unchanged DB share
+// one build. The value lives as long as the DB, or until the next
+// version replaces it.
+func (d *DB) Prepared(build func(snap *DB) any) any {
+	if p := d.prep.Load(); p != nil && p.current(d) {
+		return p.val
+	}
+	d.prepMu.Lock()
+	defer d.prepMu.Unlock()
+	if p := d.prep.Load(); p != nil && p.current(d) {
+		return p.val
+	}
+	snap := &DB{State: d.State, Constraints: d.Constraints, Pending: slices.Clone(d.Pending)}
+	p := &prepared{version: d.State.Version(), snap: snap, val: build(snap)}
+	d.prep.Store(p)
+	return p.val
 }
 
 // New assembles a blockchain database. It fails if the current state

@@ -321,3 +321,56 @@ func TestMustNewPanics(t *testing.T) {
 	bad := relation.NewTransaction("bad").Add("Missing", value.NewTuple(value.Int(1)))
 	possible.MustNew(s, cons, []*relation.Transaction{bad})
 }
+
+// TestPreparedRebuildsOnChange: Prepared builds once per database
+// version. Every in-place edit the DB contract allows makes the next
+// call build afresh, an unchanged DB reuses the value, and the snapshot
+// a build received keeps the pending slots as they were.
+func TestPreparedRebuildsOnChange(t *testing.T) {
+	d := paperDB()
+	builds := 0
+	var snaps []*possible.DB
+	prepared := func() int {
+		return d.Prepared(func(snap *possible.DB) any {
+			builds++
+			snaps = append(snaps, snap)
+			return builds
+		}).(int)
+	}
+	extra := relation.NewTransaction("X").
+		Add("TxOut", value.NewTuple(value.Int(90), value.Int(1), value.Str("XPk"), value.Float(1)))
+	first := d.Pending[0]
+	steps := []struct {
+		name    string
+		edit    func()
+		rebuild bool
+	}{
+		{"first call", func() {}, true},
+		{"unchanged", func() {}, false},
+		{"append", func() { d.Pending = append(d.Pending, extra) }, true},
+		{"replace a slot", func() { d.Pending[0] = extra }, true},
+		{"swap-remove and append", func() {
+			last := len(d.Pending) - 1
+			d.Pending[1] = d.Pending[last]
+			d.Pending = append(d.Pending[:last], first)
+		}, true},
+		{"state insert", func() {
+			d.State.MustInsert("TxOut", value.NewTuple(value.Int(91), value.Int(1), value.Str("YPk"), value.Float(1)))
+		}, true},
+		{"new constraint set", func() { d.Constraints = constraint.MustNewSet(d.State, d.Constraints.FDs, nil) }, true},
+		{"unchanged again", func() {}, false},
+	}
+	for _, st := range steps {
+		before := builds
+		st.edit()
+		if got := prepared(); got != builds {
+			t.Fatalf("%s: Prepared returned build %d, want the latest %d", st.name, got, builds)
+		}
+		if rebuilt := builds > before; rebuilt != st.rebuild {
+			t.Fatalf("%s: rebuilt=%v, want %v", st.name, rebuilt, st.rebuild)
+		}
+	}
+	if snaps[0].Pending[0] != first {
+		t.Fatal("an in-place edit of Pending reached an earlier build's snapshot")
+	}
+}

@@ -10,9 +10,16 @@ import (
 // State is a named collection of relations — the "set of relations R"
 // of the paper, used both for the current (committed) state and for any
 // other materialized set of relations.
+//
+// Every change to a state goes through its methods (Insert,
+// InsertTransaction, MustInsert, Reset, AddSchema), which bump Version: structures
+// derived from the state, such as a database's prepared view, compare
+// versions to tell whether they are still current. Inserting through a
+// *Relation obtained from Relation bypasses the counter.
 type State struct {
-	rels  map[string]*Relation
-	names []string // deterministic iteration order
+	rels    map[string]*Relation
+	names   []string // deterministic iteration order
+	version uint64
 }
 
 // NewState returns an empty state.
@@ -28,6 +35,7 @@ func (s *State) AddSchema(sc *Schema) error {
 	}
 	s.rels[sc.Name] = NewRelation(sc)
 	s.names = append(s.names, sc.Name)
+	s.version++
 	return nil
 }
 
@@ -58,8 +66,13 @@ func (s *State) Insert(rel string, t value.Tuple) (bool, error) {
 	if r == nil {
 		return false, fmt.Errorf("relation: unknown relation %q", rel)
 	}
+	s.version++
 	return r.Insert(t)
 }
+
+// Version counts the changes made through the state's methods. It only
+// grows; equal versions of one state mean equal contents.
+func (s *State) Version() uint64 { return s.version }
 
 // MustInsert is Insert but panics on error.
 func (s *State) MustInsert(rel string, t value.Tuple) bool {
@@ -83,6 +96,7 @@ func (s *State) Size() int {
 // relations' allocated bookkeeping (see Relation.Clear), so a pooled
 // state refills cheaply. Callers must exclude concurrent readers.
 func (s *State) Reset() {
+	s.version++
 	for _, r := range s.rels {
 		r.Clear()
 	}
