@@ -268,16 +268,19 @@ func (d *Database) Monitor(opts ...MonitorOption) *Monitor { return core.NewMoni
 // tuples returned in every possible world. For positive conjunctive
 // queries this is exactly q(R) — the paper's Section 5 remark — and is
 // computed without enumerating worlds; with negation it falls back to
-// exhaustive enumeration.
-func (d *Database) CertainAnswers(q *Query) ([]Tuple, error) {
-	return core.CertainAnswers(d.db, q)
+// exhaustive enumeration. Cancelling ctx stops the enumeration with an
+// error wrapping core.ErrUndecided.
+func (d *Database) CertainAnswers(ctx context.Context, q *Query) ([]Tuple, error) {
+	return core.CertainAnswers(ctx, d.db, q)
 }
 
 // PossibleAnswers returns, for a non-Boolean query, the tuples returned
 // in some possible world. Positive conjunctive queries visit only
 // maximal worlds; negation falls back to exhaustive enumeration.
-func (d *Database) PossibleAnswers(q *Query) ([]Tuple, error) {
-	return core.PossibleAnswers(d.db, q)
+// Cancelling ctx stops the search with an error wrapping
+// core.ErrUndecided.
+func (d *Database) PossibleAnswers(ctx context.Context, q *Query) ([]Tuple, error) {
+	return core.PossibleAnswers(ctx, d.db, q)
 }
 
 // Explain renders the evaluator's plan for the query over the current

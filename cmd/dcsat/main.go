@@ -15,7 +15,8 @@
 // undesirable outcome cannot occur), 1 when it is violated in some
 // possible world, 2 on errors, and 3 when -timeout expired before the
 // check reached a verdict (the constraint is undecided — nothing is
-// known either way). Answer mode always exits 0.
+// known either way). Answer mode exits 0, or 3 when -timeout expired
+// before the answers were complete.
 package main
 
 import (
@@ -87,14 +88,25 @@ func main() {
 		fmt.Println()
 	}
 	if !q.IsBoolean() {
-		certain, err := core.CertainAnswers(db, q)
-		if err != nil {
-			fatal(err)
+		ctx := context.Background()
+		if *timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, *timeout)
+			defer cancel()
 		}
-		possible, err := core.PossibleAnswers(db, q)
-		if err != nil {
-			fatal(err)
+		answerErr := func(err error) {
+			if errors.Is(err, core.ErrUndecided) {
+				fmt.Printf("UNDECIDED: %v (timeout %v)\n", err, *timeout)
+				os.Exit(3)
+			}
+			if err != nil {
+				fatal(err)
+			}
 		}
+		certain, err := core.CertainAnswers(ctx, db, q)
+		answerErr(err)
+		possible, err := core.PossibleAnswers(ctx, db, q)
+		answerErr(err)
 		fmt.Printf("certain answers (%d):\n", len(certain))
 		for _, t := range certain {
 			fmt.Println("  ", t)

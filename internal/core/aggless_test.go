@@ -41,7 +41,8 @@ func TestAggFDOnlyApplies(t *testing.T) {
 }
 
 // aggDB builds a small random fd-only database with numeric values for
-// aggregation: R(k:int, v:int) with key {k}.
+// aggregation: R(k:int, v:int) with key {k}. Sometimes one pending
+// transaction is dead: it fd-conflicts with R.
 func aggDB(r *rand.Rand) *possible.DB {
 	s := relation.NewState()
 	s.MustAddSchema(relation.NewSchema("R", "k:int", "v:int"))
@@ -59,12 +60,13 @@ func aggDB(r *rand.Rand) *possible.DB {
 		}
 		pending = append(pending, tx)
 	}
-	return possible.MustNew(s, cons, pending)
+	return possible.MustNew(s, cons, withDeadTx(r, s, pending, 6))
 }
 
 // TestAggFDOnlyAgainstExhaustive: the PTIME aggregate solver agrees
 // with exhaustive enumeration across the fragment's heads on random
-// fd-only databases.
+// fd-only databases, and every witness it reports is a reachable world
+// where the aggregate holds.
 func TestAggFDOnlyAgainstExhaustive(t *testing.T) {
 	heads := []string{
 		"q(count()) < %d :- R(x, y)",
@@ -83,16 +85,11 @@ func TestAggFDOnlyAgainstExhaustive(t *testing.T) {
 		d := aggDB(r)
 		src := fmt.Sprintf(heads[r.Intn(len(heads))], r.Intn(5))
 		q := query.MustParse(src)
-		got, err1 := Check(context.Background(), d, q, Options{Algorithm: AlgoFDOnly})
-		want, err2 := Check(context.Background(), d, q, Options{Algorithm: AlgoExhaustive})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("errors: %v / %v on %s", err1, err2, src)
+		got, err := Check(context.Background(), d, q, Options{Algorithm: AlgoFDOnly})
+		if err != nil {
+			t.Fatalf("fdonly: %v on %s", err, src)
 		}
-		if got.Satisfied != want.Satisfied {
-			t.Logf("seed %d %s: fdonly=%v exhaustive=%v (witness %v)",
-				seed, src, got.Satisfied, want.Satisfied, want.Witness)
-		}
-		return got.Satisfied == want.Satisfied
+		return agreesWithExhaustive(t, d, q, got, fmt.Sprintf("seed %d", seed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -18,20 +19,24 @@ import (
 // that "the set of certain answers is precisely the result of
 // evaluating q over R"). For queries with negation the answers are the
 // intersection over all possible worlds, computed by exhaustive
-// enumeration (exponential in |T|).
-func CertainAnswers(d *possible.DB, q *query.Query) ([]value.Tuple, error) {
+// enumeration (exponential in |T|). A cancelled or expired ctx stops
+// the enumeration with an error wrapping ErrUndecided.
+func CertainAnswers(ctx context.Context, d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 	if q.IsBoolean() || q.IsAggregate() {
 		return nil, fmt.Errorf("core: CertainAnswers requires head variables")
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, undecided(err)
+	}
 	if q.IsPositive() {
 		return sortTuples(query.EvalTuples(q, d.State))
 	}
 	var intersection map[string]value.Tuple
 	var evalErr error
-	d.EnumerateWorlds(func(_ []int, world *relation.Overlay) bool {
+	err := d.EnumerateWorldsCtx(ctx, func(_ []int, world *relation.Overlay) bool {
 		tuples, err := query.EvalTuples(q, world)
 		if err != nil {
 			evalErr = err
@@ -55,6 +60,9 @@ func CertainAnswers(d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 	if evalErr != nil {
 		return nil, evalErr
 	}
+	if err != nil {
+		return nil, undecided(err)
+	}
 	out := make([]value.Tuple, 0, len(intersection))
 	for _, t := range intersection {
 		out = append(out, t)
@@ -66,13 +74,17 @@ func CertainAnswers(d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 // possible world. For positive conjunctive queries monotonicity lets
 // the search visit only maximal possible worlds (the union over maximal
 // cliques of the fd-transaction graph); queries with negation fall back
-// to exhaustive world enumeration.
-func PossibleAnswers(d *possible.DB, q *query.Query) ([]value.Tuple, error) {
+// to exhaustive world enumeration. ctx is polled once per maximal
+// clique or world; cancellation returns an error wrapping ErrUndecided.
+func PossibleAnswers(ctx context.Context, d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 	if q.IsBoolean() || q.IsAggregate() {
 		return nil, fmt.Errorf("core: PossibleAnswers requires head variables")
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, undecided(err)
 	}
 	union := make(map[string]value.Tuple)
 	collect := func(world relation.View) error {
@@ -94,6 +106,10 @@ func PossibleAnswers(d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 		cg := fdGraphFromConflicts(view.live(), view)
 		var evalErr error
 		cg.maximalCliques(func(subset []int) bool {
+			if err := ctx.Err(); err != nil {
+				evalErr = undecided(err)
+				return false
+			}
 			world, _ := d.GetMaximal(subset)
 			if err := collect(world); err != nil {
 				evalErr = err
@@ -106,7 +122,7 @@ func PossibleAnswers(d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 		}
 	} else {
 		var evalErr error
-		d.EnumerateWorlds(func(_ []int, world *relation.Overlay) bool {
+		err := d.EnumerateWorldsCtx(ctx, func(_ []int, world *relation.Overlay) bool {
 			if err := collect(world); err != nil {
 				evalErr = err
 				return false
@@ -115,6 +131,9 @@ func PossibleAnswers(d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 		})
 		if evalErr != nil {
 			return nil, evalErr
+		}
+		if err != nil {
+			return nil, undecided(err)
 		}
 	}
 	out := make([]value.Tuple, 0, len(union))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -28,7 +30,7 @@ func TestCertainAnswersPositive(t *testing.T) {
 	d := fixture.PaperDB()
 	// Who received coins, certainly? Only recipients in R.
 	q := query.MustParse("q(pk) :- TxOut(t, s, pk, a)")
-	got, err := CertainAnswers(d, q)
+	got, err := CertainAnswers(context.Background(), d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestCertainAnswersPositive(t *testing.T) {
 func TestPossibleAnswersPositive(t *testing.T) {
 	d := fixture.PaperDB()
 	q := query.MustParse("q(pk) :- TxOut(t, s, pk, a)")
-	got, err := PossibleAnswers(d, q)
+	got, err := PossibleAnswers(context.Background(), d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +112,14 @@ func TestAnswersWithNegation(t *testing.T) {
 	s.MustInsert("R", value.NewTuple(value.Int(2)))
 	// q(k) ← R(k), !Block(k): in R alone both answers; in R∪T1 only 2.
 	q := query.MustParse("q(k) :- R(k), !Block(k)")
-	certain, err := CertainAnswers(d, q)
+	certain, err := CertainAnswers(context.Background(), d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := tupleStrings(certain); !reflect.DeepEqual(got, []string{"(2)"}) {
 		t.Errorf("certain = %v, want [(2)]", got)
 	}
-	poss, err := PossibleAnswers(d, q)
+	poss, err := PossibleAnswers(context.Background(), d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestPossibleAnswersAgainstEnumeration(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		d := bitcoinLikeDB(r)
 		q := query.MustParse("q(pk) :- TxOut(t, s, pk, a)")
-		fast, err := PossibleAnswers(d, q)
+		fast, err := PossibleAnswers(context.Background(), d, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,16 +169,68 @@ func TestPossibleAnswersAgainstEnumeration(t *testing.T) {
 func TestAnswersValidation(t *testing.T) {
 	d := fixture.PaperDB()
 	boolean := query.MustParse("q() :- TxOut(t, s, pk, a)")
-	if _, err := CertainAnswers(d, boolean); err == nil {
+	if _, err := CertainAnswers(context.Background(), d, boolean); err == nil {
 		t.Error("Boolean query accepted by CertainAnswers")
 	}
-	if _, err := PossibleAnswers(d, boolean); err == nil {
+	if _, err := PossibleAnswers(context.Background(), d, boolean); err == nil {
 		t.Error("Boolean query accepted by PossibleAnswers")
 	}
 	agg := query.MustParse("q(sum(a)) > 1 :- TxOut(t, s, pk, a)")
-	if _, err := CertainAnswers(d, agg); err == nil {
+	if _, err := CertainAnswers(context.Background(), d, agg); err == nil {
 		t.Error("aggregate accepted by CertainAnswers")
 	}
+}
+
+// TestAnswersHonourCancellation: a cancelled context stops both answer
+// functions with ErrUndecided instead of an answer, on a positive query
+// (maximal-clique search) and on a query with negation (world
+// enumeration), whether it is cancelled before the call or during the
+// search.
+func TestAnswersHonourCancellation(t *testing.T) {
+	d := fixture.PaperDB()
+	queries := []string{
+		"q(pk) :- TxOut(t, s, pk, a)",
+		"q(t) :- TxOut(t, s, pk, a), !TxOut(t, s, 'U1Pk', a)",
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, src := range queries {
+		q := query.MustParse(src)
+		for name, answers := range map[string]func(context.Context, *possible.DB, *query.Query) ([]value.Tuple, error){
+			"CertainAnswers": CertainAnswers, "PossibleAnswers": PossibleAnswers,
+		} {
+			got, err := answers(cancelled, d, q)
+			if !errors.Is(err, ErrUndecided) || !errors.Is(err, context.Canceled) {
+				t.Errorf("%s(%s) on a cancelled context: %v, %v; want ErrUndecided", name, src, got, err)
+			}
+		}
+		// Cancelled after the entry check: the search itself must stop.
+		if !q.IsPositive() {
+			got, err := CertainAnswers(&cancelAfter{Context: context.Background(), n: 1}, d, q)
+			if !errors.Is(err, ErrUndecided) {
+				t.Errorf("CertainAnswers(%s) cancelled mid-search: %v, %v; want ErrUndecided", src, got, err)
+			}
+		}
+		got, err := PossibleAnswers(&cancelAfter{Context: context.Background(), n: 2}, d, q)
+		if !errors.Is(err, ErrUndecided) {
+			t.Errorf("PossibleAnswers(%s) cancelled mid-search: %v, %v; want ErrUndecided", src, got, err)
+		}
+	}
+}
+
+// cancelAfter is a context that reports itself cancelled from its
+// (n+1)-th Err call on.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
 }
 
 // TestEvalTuplesBasics covers the evaluator's tuple mode directly.
@@ -236,8 +290,8 @@ func TestHeadVarParsing(t *testing.T) {
 func ExampleCertainAnswers() {
 	d := fixture.PaperDB()
 	q := query.MustParse("q(pk) :- TxOut(t, s, pk, a)")
-	certain, _ := CertainAnswers(d, q)
-	possible, _ := PossibleAnswers(d, q)
+	certain, _ := CertainAnswers(context.Background(), d, q)
+	possible, _ := PossibleAnswers(context.Background(), d, q)
 	fmt.Println(len(certain), "certain,", len(possible), "possible recipients")
 	// Output: 4 certain, 7 possible recipients
 }

@@ -12,7 +12,6 @@ import (
 	"blockchaindb/internal/possible"
 	"blockchaindb/internal/query"
 	"blockchaindb/internal/relation"
-	"blockchaindb/internal/value"
 )
 
 // Algorithm selects how Check decides denial constraint satisfaction.
@@ -372,7 +371,7 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 	case AlgoOpt:
 		res, err = cliqueDCSat(ctx, d, q, opts, true, env)
 	case AlgoFDOnly:
-		res, err = fdOnlyDCSat(ctx, d, q, env.view.live())
+		res, err = fdOnlyDCSat(ctx, d, q, env.view)
 	case AlgoExhaustive:
 		res, err = exhaustiveDCSat(ctx, d, q)
 	default:
@@ -742,172 +741,6 @@ func (s *cliqueSearch) Leaf(r []int) bool {
 	s.stats.Cliques++
 	s.stats.WorldsEvaluated++
 	return true
-}
-
-// fdOnlyDCSat implements the PTIME algorithm behind Theorem 1.1 for
-// databases whose constraints contain no inclusion dependencies. In
-// such databases a set of transactions forms a possible world exactly
-// when each is fd-consistent internally, with the state, and pairwise
-// (order never matters without INDs). A conjunctive query q is then
-// satisfiable in some world iff some assignment of q's positive atoms
-// into R ∪ ∪T has a support set S of transactions that is
-// fd-compatible, such that the world R ∪ S also satisfies q's negated
-// atoms. Because |S| is bounded by the (constant) number of query
-// atoms, trying every combination of supports is polynomial in the
-// data. live is the database's fd-live pending slots.
-func fdOnlyDCSat(ctx context.Context, d *possible.DB, q *query.Query, live []int) (*Result, error) {
-	if d.Constraints.HasINDs() {
-		return nil, fmt.Errorf("core: AlgoFDOnly requires a database without inclusion dependencies")
-	}
-	if q.IsAggregate() {
-		return aggFDOnlyDCSat(ctx, d, q, live)
-	}
-	res := &Result{Satisfied: true}
-	union := relation.NewOverlay(d.State)
-	for _, i := range live {
-		union.Add(d.Pending[i])
-	}
-	pos := q.Positives()
-	var violated bool
-	var witness []int
-	var ctxErr error
-	assignments := 0
-	err := query.Assignments(q, union, false, func(binding *query.Binding) bool {
-		if assignments++; assignments%ctxCheckEvery == 0 {
-			if ctxErr = ctx.Err(); ctxErr != nil {
-				return false
-			}
-		}
-		res.Stats.WorldsEvaluated++
-		// Ground the positive atoms under the assignment and collect,
-		// per ground tuple not already in R, the live transactions
-		// that could supply it.
-		var suppliers [][]int
-		for _, a := range pos {
-			tup := groundAtom(a, binding)
-			if d.State.Contains(a.Rel, tup) {
-				continue
-			}
-			var cands []int
-			for _, ti := range live {
-				for _, t := range d.Pending[ti].Tuples(a.Rel) {
-					if t.Equal(tup) {
-						cands = append(cands, ti)
-						break
-					}
-				}
-			}
-			if len(cands) == 0 {
-				return true // tuple unavailable; assignment unusable
-			}
-			suppliers = append(suppliers, cands)
-		}
-		if s, ok := compatibleSupport(d, q, suppliers, binding); ok {
-			violated = true
-			witness = s
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ctxErr != nil {
-		return res, ctxErr
-	}
-	if violated {
-		res.Satisfied = false
-		res.Witness = witness
-	}
-	return res, nil
-}
-
-// ctxCheckEvery is how many assignments/worlds the PTIME and
-// exhaustive solvers process between context polls.
-const ctxCheckEvery = 64
-
-// compatibleSupport searches the cartesian product of supplier choices
-// for a mutually fd-compatible transaction set whose minimal world also
-// satisfies the query's negated atoms.
-func compatibleSupport(d *possible.DB, q *query.Query, suppliers [][]int, binding *query.Binding) ([]int, bool) {
-	chosen := make(map[int]bool)
-	var found []int
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(suppliers) {
-			support := make([]int, 0, len(chosen))
-			for ti := range chosen {
-				support = append(support, ti)
-			}
-			sort.Ints(support)
-			if !negationsHoldInMinimalWorld(d, q, support, binding) {
-				return false
-			}
-			found = support
-			return true
-		}
-		for _, cand := range suppliers[i] {
-			if chosen[cand] {
-				if rec(i + 1) {
-					return true
-				}
-				continue
-			}
-			ok := true
-			for other := range chosen {
-				if !d.Constraints.FDCompatible(d.Pending[cand], d.Pending[other]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			chosen[cand] = true
-			if rec(i + 1) {
-				return true
-			}
-			delete(chosen, cand)
-		}
-		return false
-	}
-	if rec(0) {
-		return found, true
-	}
-	return nil, false
-}
-
-// negationsHoldInMinimalWorld re-checks the query's negated atoms and
-// comparisons against the minimal world R ∪ support under the fixed
-// assignment.
-func negationsHoldInMinimalWorld(d *possible.DB, q *query.Query, support []int, binding *query.Binding) bool {
-	if len(q.Negatives()) == 0 {
-		return true
-	}
-	world := relation.NewOverlay(d.State)
-	for _, ti := range support {
-		world.Add(d.Pending[ti])
-	}
-	for _, a := range q.Negatives() {
-		if world.Contains(a.Rel, groundAtom(a, binding)) {
-			return false
-		}
-	}
-	return true
-}
-
-func groundAtom(a query.Atom, binding *query.Binding) value.Tuple {
-	tup := make(value.Tuple, len(a.Args))
-	for i, arg := range a.Args {
-		if arg.IsVar() {
-			// A variable the positive atoms never bind grounds to Null,
-			// matching the interpreted evaluator's missing-binding value.
-			tup[i], _ = binding.Value(arg.Var)
-		} else {
-			tup[i] = arg.Const
-		}
-	}
-	return tup
 }
 
 // exhaustiveDCSat enumerates every possible world — the definitional

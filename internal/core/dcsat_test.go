@@ -260,6 +260,7 @@ func TestCheckValidation(t *testing.T) {
 
 // fdOnlyDB builds a random database without inclusion dependencies:
 // R(k:int, v:int) with key {k}, Trusted(v:int) unconstrained.
+// Sometimes one pending transaction is dead: it fd-conflicts with R.
 func fdOnlyDB(r *rand.Rand) *possible.DB {
 	s := relation.NewState()
 	s.MustAddSchema(relation.NewSchema("R", "k:int", "v:int"))
@@ -275,17 +276,76 @@ func fdOnlyDB(r *rand.Rand) *possible.DB {
 	}
 	var pending []*relation.Transaction
 	for i, n := 0, r.Intn(5); i < n; i++ {
-		tx := relation.NewTransaction(fmt.Sprintf("T%d", i+1))
-		for j, m := 0, 1+r.Intn(2); j < m; j++ {
-			if r.Intn(4) == 0 {
-				tx.Add("Trusted", value.NewTuple(value.Int(int64(r.Intn(3)))))
-			} else {
-				tx.Add("R", value.NewTuple(value.Int(int64(r.Intn(4))), value.Int(int64(r.Intn(3)))))
-			}
-		}
-		pending = append(pending, tx)
+		pending = append(pending, randomFDOnlyTx(r, fmt.Sprintf("T%d", i+1)))
 	}
-	return possible.MustNew(s, cons, pending)
+	return possible.MustNew(s, cons, withDeadTx(r, s, pending, 3))
+}
+
+// randomFDOnlyTx is one random pending transaction of fdOnlyDB.
+func randomFDOnlyTx(r *rand.Rand, name string) *relation.Transaction {
+	tx := relation.NewTransaction(name)
+	for j, m := 0, 1+r.Intn(2); j < m; j++ {
+		if r.Intn(4) == 0 {
+			tx.Add("Trusted", value.NewTuple(value.Int(int64(r.Intn(3)))))
+		} else {
+			tx.Add("R", value.NewTuple(value.Int(int64(r.Intn(4))), value.Int(int64(r.Intn(3)))))
+		}
+	}
+	return tx
+}
+
+// withDeadTx sometimes inserts, at a random position of pending, a
+// transaction that fd-conflicts with a committed R(k, v) under the key
+// {k}. Besides the conflicting tuple it carries an R tuple with a
+// key in [0, maxKey), which may duplicate a live transaction's tuple,
+// so the all-pending union differs from the union of the live ones.
+func withDeadTx(r *rand.Rand, s *relation.State, pending []*relation.Transaction, maxKey int) []*relation.Transaction {
+	var committed []value.Tuple
+	s.Scan("R", func(t value.Tuple) bool {
+		committed = append(committed, t)
+		return true
+	})
+	if len(committed) == 0 || r.Intn(3) != 0 {
+		return pending
+	}
+	c := committed[r.Intn(len(committed))]
+	dead := relation.NewTransaction("Dead").
+		Add("R", value.NewTuple(c[0], value.Int(c[1].AsInt()+1))).
+		Add("R", value.NewTuple(value.Int(int64(r.Intn(maxKey))), value.Int(int64(r.Intn(3)))))
+	at := r.Intn(len(pending) + 1)
+	return append(pending[:at], append([]*relation.Transaction{dead}, pending[at:]...)...)
+}
+
+// agreesWithExhaustive checks the fd-only verdict res on d against
+// exhaustive enumeration and revalidates a violation's witness: it is
+// reachable, and q holds on R ∪ witness.
+func agreesWithExhaustive(t *testing.T, d *possible.DB, q *query.Query, res *Result, what string) bool {
+	t.Helper()
+	want, err := Check(context.Background(), d, q, Options{Algorithm: AlgoExhaustive})
+	if err != nil {
+		t.Fatalf("%s: exhaustive: %v on %s", what, err, q)
+	}
+	if res.Satisfied != want.Satisfied {
+		t.Logf("%s query %s: fdonly=%v exhaustive=%v (witness %v)",
+			what, q, res.Satisfied, want.Satisfied, want.Witness)
+		return false
+	}
+	if res.Satisfied {
+		return true
+	}
+	if !d.IsReachable(res.Witness) {
+		t.Logf("%s query %s: witness %v is not reachable", what, q, res.Witness)
+		return false
+	}
+	world := relation.NewOverlay(d.State)
+	for _, ti := range res.Witness {
+		world.Add(d.Pending[ti])
+	}
+	if hit, err := query.Eval(q, world); err != nil || !hit {
+		t.Logf("%s query %s: q does not hold on R ∪ witness %v (%v)", what, q, res.Witness, err)
+		return false
+	}
+	return true
 }
 
 // randomFDOnlyQuery builds small conjunctive queries over R / Trusted,
@@ -322,7 +382,8 @@ func randomFDOnlyQuery(r *rand.Rand, allowNegation bool) *query.Query {
 
 // TestFDOnlyAgainstExhaustive is the property test for the Theorem 1.1
 // PTIME solver: it must agree with exhaustive world enumeration on
-// random IND-free databases, including queries with negation.
+// random IND-free databases, including queries with negation, and every
+// witness it reports must be a reachable world where q holds.
 func TestFDOnlyAgainstExhaustive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -331,18 +392,61 @@ func TestFDOnlyAgainstExhaustive(t *testing.T) {
 		if q.Validate() != nil {
 			return true
 		}
-		got, err1 := Check(context.Background(), d, q, Options{Algorithm: AlgoFDOnly})
-		want, err2 := Check(context.Background(), d, q, Options{Algorithm: AlgoExhaustive})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("errors: %v / %v on %s", err1, err2, q)
+		got, err := Check(context.Background(), d, q, Options{Algorithm: AlgoFDOnly})
+		if err != nil {
+			t.Fatalf("fdonly: %v on %s", err, q)
 		}
-		if got.Satisfied != want.Satisfied {
-			t.Logf("seed %d query %s: fdonly=%v exhaustive=%v (witness %v)",
-				seed, q, got.Satisfied, want.Satisfied, want.Witness)
-		}
-		return got.Satisfied == want.Satisfied
+		return agreesWithExhaustive(t, d, q, got, fmt.Sprintf("seed %d", seed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFDOnlyMonitorAgainstExhaustive runs queries with negation through
+// a warm Monitor.Check, which routes them to the fd-only solver over
+// the Monitor's prepared view, after random AddPending and DropPending
+// steps, and checks every verdict and witness against exhaustive
+// enumeration of the Monitor's current database.
+func TestFDOnlyMonitorAgainstExhaustive(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := fdOnlyDB(r)
+		mon := NewMonitor(d)
+		ids := mon.PendingIDs()
+		for step := 0; step < 6; step++ {
+			q := randomFDOnlyQuery(r, true)
+			if len(q.Negatives()) == 0 || q.Validate() != nil {
+				continue
+			}
+			got, err := mon.Check(context.Background(), q, Options{})
+			if err != nil {
+				t.Fatalf("monitor: %v on %s", err, q)
+			}
+			if got.Stats.Algorithm != AlgoFDOnly {
+				t.Fatalf("monitor routed %s to %v", q, got.Stats.Algorithm)
+			}
+			snap := possible.MustNew(mon.db.State, mon.db.Constraints, mon.db.Pending)
+			if !agreesWithExhaustive(t, snap, q, got, fmt.Sprintf("seed %d step %d", seed, step)) {
+				return false
+			}
+			if len(ids) > 0 && r.Intn(2) == 0 {
+				i := r.Intn(len(ids))
+				if err := mon.DropPending(ids[i]); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids[:i], ids[i+1:]...)
+			} else {
+				id, err := mon.AddPending(randomFDOnlyTx(r, fmt.Sprintf("A%d", step)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

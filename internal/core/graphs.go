@@ -248,7 +248,7 @@ func fdConflictsWithState(d *possible.DB, tx *relation.Transaction) bool {
 type indQSplit struct {
 	d      *possible.DB
 	subset []int
-	uf     *growingUnionFind
+	uf     *graph.UnionFind
 	atoms  []atomFilter // per positive atom of q
 	pairs  []query.AtomPair
 	// pendingI[p] (pendingJ[p]) maps the projection on pair p's
@@ -301,10 +301,10 @@ func (f *atomFilter) matches(t value.Tuple, buf *[]byte) bool {
 // two groups that thetaISeeds would keep apart. A nil q yields the
 // seeded partition alone.
 func newIndQSplit(d *possible.DB, subset []int, q *query.Query, seedGroups [][]int) *indQSplit {
-	s := &indQSplit{d: d, subset: subset, uf: newGrowingUnionFind(len(subset))}
+	s := &indQSplit{d: d, subset: subset, uf: graph.NewUnionFind(len(subset))}
 	for _, g := range seedGroups {
 		for _, l := range g[1:] {
-			s.uf.union(g[0], l)
+			s.uf.Union(g[0], l)
 		}
 	}
 	if q != nil {
@@ -324,7 +324,7 @@ func newIndQSplit(d *possible.DB, subset []int, q *query.Query, seedGroups [][]i
 	}
 	s.dirRoot = make([]int, len(subset))
 	for local := range subset {
-		s.dirRoot[local] = s.uf.find(local)
+		s.dirRoot[local] = s.uf.Find(local)
 	}
 	s.direct = s.groups(nil)
 	return s
@@ -338,7 +338,7 @@ func newIndQSplit(d *possible.DB, subset []int, q *query.Query, seedGroups [][]i
 // of one are left out. The stateless prepared view calls it once per
 // database version.
 func thetaISeeds(d *possible.DB, subset []int) [][]int {
-	s := &indQSplit{d: d, subset: subset, uf: newGrowingUnionFind(len(subset))}
+	s := &indQSplit{d: d, subset: subset, uf: graph.NewUnionFind(len(subset))}
 	for i, ind := range d.Constraints.INDs {
 		cols, refCols := d.Constraints.INDColumns(i)
 		s.unionMatching(s.buckets(ind.Rel, cols, nil), s.buckets(ind.RefRel, refCols, nil))
@@ -346,7 +346,7 @@ func thetaISeeds(d *possible.DB, subset []int) [][]int {
 	byRoot := make(map[int][]int)
 	var roots []int
 	for local := range subset {
-		r := s.uf.find(local)
+		r := s.uf.Find(local)
 		if byRoot[r] == nil {
 			roots = append(roots, r)
 		}
@@ -405,10 +405,10 @@ func (s *indQSplit) unionMatching(lhs, rhs map[string][]int) {
 		}
 		anchor := rs[0]
 		for _, l := range ls {
-			s.uf.union(anchor, l)
+			s.uf.Union(anchor, l)
 		}
 		for _, r := range rs[1:] {
-			s.uf.union(anchor, r)
+			s.uf.Union(anchor, r)
 		}
 	}
 }
@@ -418,10 +418,10 @@ func (s *indQSplit) unionMatching(lhs, rhs map[string][]int) {
 // when non-nil, selects which groups (by their local members) to
 // return.
 func (s *indQSplit) groups(keep func(locals []int) bool) [][]int {
-	byRoot := make([][]int, len(s.uf.parent))
+	byRoot := make([][]int, s.uf.Len())
 	var roots []int
 	for local := range s.subset {
-		r := s.uf.find(local)
+		r := s.uf.Find(local)
 		if byRoot[r] == nil {
 			roots = append(roots, r)
 		}
@@ -499,10 +499,10 @@ func (s *indQSplit) bridge() (merged [][]int, overflow bool) {
 					overflow = true
 					return false
 				}
-				id = uf.add()
+				id = uf.Add()
 				nodeByTuple[tk] = id
 			}
-			uf.union(from, id)
+			uf.Union(from, id)
 			ak := string(rune(ai)) + tk
 			if !seen[ak] {
 				seen[ak] = true
@@ -540,7 +540,7 @@ seed:
 			if pr.I == item.atom {
 				key := item.tup.ProjectKey(pr.Cols)
 				for _, l := range s.pendingJ[pi][key] {
-					uf.union(item.node, l)
+					uf.Union(item.node, l)
 				}
 				if item.depth < maxDepth {
 					reach(item.node, pr.J, pr.RefCols, key, item.depth+1)
@@ -549,7 +549,7 @@ seed:
 			if pr.J == item.atom {
 				key := item.tup.ProjectKey(pr.RefCols)
 				for _, l := range s.pendingI[pi][key] {
-					uf.union(item.node, l)
+					uf.Union(item.node, l)
 				}
 				if item.depth < maxDepth {
 					reach(item.node, pr.I, pr.Cols, key, item.depth+1)
@@ -581,50 +581,6 @@ func maxStateBridgeNodes(pending int) int {
 		n = 4096
 	}
 	return n
-}
-
-// growingUnionFind is a union-find that can add nodes after
-// construction (state-bridge nodes are discovered lazily).
-type growingUnionFind struct {
-	parent []int
-	rank   []uint8
-}
-
-func newGrowingUnionFind(n int) *growingUnionFind {
-	uf := &growingUnionFind{parent: make([]int, n), rank: make([]uint8, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
-func (uf *growingUnionFind) add() int {
-	id := len(uf.parent)
-	uf.parent = append(uf.parent, id)
-	uf.rank = append(uf.rank, 0)
-	return id
-}
-
-func (uf *growingUnionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *growingUnionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.rank[ra] < uf.rank[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	if uf.rank[ra] == uf.rank[rb] {
-		uf.rank[ra]++
-	}
 }
 
 // coverTargets prepares the paper's Covers(R, T', q) test: for each

@@ -72,13 +72,13 @@ func TestUndirectedBasics(t *testing.T) {
 	if g.HasEdge(3, 3) {
 		t.Error("self loop stored")
 	}
-	if g.EdgeCount() != 2 {
-		t.Errorf("EdgeCount = %d", g.EdgeCount())
+	if edgeCount(g) != 2 {
+		t.Errorf("edge count = %d", edgeCount(g))
 	}
-	if g.Degree(1) != 2 || g.Degree(4) != 0 {
+	if g.Neighbors(1).Count() != 2 || g.Neighbors(4).Count() != 0 {
 		t.Error("degrees wrong")
 	}
-	comps := g.ConnectedComponents()
+	comps := ufComponents(g)
 	if len(comps) != 3 {
 		t.Fatalf("components = %v", comps)
 	}
@@ -87,13 +87,42 @@ func TestUndirectedBasics(t *testing.T) {
 	}
 }
 
-func TestComplement(t *testing.T) {
-	g := NewUndirected(3)
-	g.AddEdge(0, 1)
-	c := g.Complement()
-	if c.HasEdge(0, 1) || !c.HasEdge(0, 2) || !c.HasEdge(1, 2) {
-		t.Error("complement wrong")
+// edgeCount counts the undirected edges of g.
+func edgeCount(g *Undirected) int {
+	total := 0
+	for v := 0; v < g.Len(); v++ {
+		total += g.Neighbors(v).Count()
 	}
+	return total / 2
+}
+
+// ufComponents returns g's connected components through UnionFind,
+// each sorted ascending, ordered by smallest member.
+func ufComponents(g *Undirected) [][]int {
+	uf := NewUnionFind(g.Len())
+	for u := 0; u < g.Len(); u++ {
+		g.Neighbors(u).ForEach(func(v int) { uf.Union(u, v) })
+	}
+	return ufGroups(uf)
+}
+
+// ufGroups returns the sets of uf as sorted slices, ordered by smallest
+// member.
+func ufGroups(uf *UnionFind) [][]int {
+	byRoot := make(map[int][]int)
+	var roots []int
+	for i := 0; i < uf.Len(); i++ {
+		r := uf.Find(i)
+		if _, ok := byRoot[r]; !ok {
+			roots = append(roots, r)
+		}
+		byRoot[r] = append(byRoot[r], i)
+	}
+	out := make([][]int, len(roots))
+	for i, r := range roots {
+		out[i] = byRoot[r] // ascending: members were appended in order
+	}
+	return out
 }
 
 func TestSubgraph(t *testing.T) {
@@ -102,8 +131,8 @@ func TestSubgraph(t *testing.T) {
 	g.AddEdge(2, 4)
 	g.AddEdge(1, 3)
 	sub, back := g.Subgraph([]int{0, 2, 4})
-	if sub.Len() != 3 || sub.EdgeCount() != 2 {
-		t.Fatalf("subgraph: %d vertices %d edges", sub.Len(), sub.EdgeCount())
+	if sub.Len() != 3 || edgeCount(sub) != 2 {
+		t.Fatalf("subgraph: %d vertices %d edges", sub.Len(), edgeCount(sub))
 	}
 	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.HasEdge(0, 2) {
 		t.Error("subgraph edges wrong")
@@ -257,8 +286,8 @@ func TestMaximalCliquesEarlyStop(t *testing.T) {
 }
 
 func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(6)
-	if uf.Sets() != 6 || uf.Len() != 6 {
+	uf := NewUnionFind(5)
+	if uf.Len() != 5 {
 		t.Fatal("initial state wrong")
 	}
 	if !uf.Union(0, 1) || !uf.Union(1, 2) {
@@ -268,16 +297,21 @@ func TestUnionFind(t *testing.T) {
 		t.Error("redundant union should report false")
 	}
 	uf.Union(3, 4)
-	if uf.Sets() != 3 {
-		t.Errorf("Sets = %d", uf.Sets())
+	if id := uf.Add(); id != 5 || uf.Len() != 6 || uf.Find(id) != id {
+		t.Fatalf("Add = %d (Len %d): want a new singleton 5", id, uf.Len())
 	}
-	if !uf.Connected(0, 2) || uf.Connected(0, 3) || uf.Connected(5, 4) {
+	if uf.Find(0) != uf.Find(2) || uf.Find(0) == uf.Find(3) || uf.Find(5) == uf.Find(4) {
 		t.Error("connectivity wrong")
 	}
-	comps := uf.Components()
+	comps := ufGroups(uf)
 	want := [][]int{{0, 1, 2}, {3, 4}, {5}}
 	if !reflect.DeepEqual(comps, want) {
-		t.Errorf("Components = %v, want %v", comps, want)
+		t.Errorf("groups = %v, want %v", comps, want)
+	}
+	uf.Add()
+	uf.Union(6, 3)
+	if want := [][]int{{0, 1, 2}, {3, 4, 6}, {5}}; !reflect.DeepEqual(ufGroups(uf), want) {
+		t.Errorf("after Add and Union: groups = %v, want %v", ufGroups(uf), want)
 	}
 }
 
@@ -288,7 +322,7 @@ func TestUnionFindAgainstBFS(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(30)
 		g := randomGraph(r, n, 0.1)
-		fromGraph := g.ConnectedComponents()
+		fromGraph := ufComponents(g)
 		// BFS reference.
 		visited := make([]bool, n)
 		var bfsComps [][]int

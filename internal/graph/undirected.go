@@ -63,45 +63,6 @@ func (g *Undirected) HasEdge(u, v int) bool { return g.adj[u].Has(v) }
 // modify it.
 func (g *Undirected) Neighbors(v int) Bitset { return g.adj[v] }
 
-// Degree returns the degree of v.
-func (g *Undirected) Degree(v int) int { return g.adj[v].Count() }
-
-// EdgeCount returns the number of undirected edges.
-func (g *Undirected) EdgeCount() int {
-	total := 0
-	for v := 0; v < g.n; v++ {
-		total += g.adj[v].Count()
-	}
-	return total / 2
-}
-
-// Complement returns the complement graph (no self-loops).
-func (g *Undirected) Complement() *Undirected {
-	c := NewUndirected(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := u + 1; v < g.n; v++ {
-			if !g.HasEdge(u, v) {
-				c.AddEdge(u, v)
-			}
-		}
-	}
-	return c
-}
-
-// ConnectedComponents returns the vertex sets of the graph's connected
-// components, each sorted ascending, ordered by smallest member.
-func (g *Undirected) ConnectedComponents() [][]int {
-	uf := NewUnionFind(g.n)
-	for u := 0; u < g.n; u++ {
-		g.adj[u].ForEach(func(v int) {
-			if v > u {
-				uf.Union(u, v)
-			}
-		})
-	}
-	return uf.Components()
-}
-
 // Subgraph returns the induced subgraph on the given vertices together
 // with the mapping from new vertex index to original vertex.
 func (g *Undirected) Subgraph(vertices []int) (*Undirected, []int) {

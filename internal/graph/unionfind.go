@@ -1,20 +1,19 @@
 package graph
 
-import "sort"
-
 // UnionFind is a disjoint-set forest with union by rank and path
-// compression. OptDCSat uses it to split pending transactions into the
-// connected components of the ind-q-transaction graph without
-// materializing that graph's edges.
+// halving that can grow after construction. OptDCSat uses it to split
+// pending transactions into the connected components of the
+// ind-q-transaction graph without materializing that graph's edges;
+// the state-bridge phase adds committed tuples as nodes as it discovers
+// them.
 type UnionFind struct {
 	parent []int
 	rank   []uint8
-	sets   int
 }
 
 // NewUnionFind returns n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]uint8, n), sets: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]uint8, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -23,6 +22,14 @@ func NewUnionFind(n int) *UnionFind {
 
 // Len returns the number of elements.
 func (uf *UnionFind) Len() int { return len(uf.parent) }
+
+// Add appends a new singleton set and returns its element.
+func (uf *UnionFind) Add() int {
+	id := len(uf.parent)
+	uf.parent = append(uf.parent, id)
+	uf.rank = append(uf.rank, 0)
+	return id
+}
 
 // Find returns the canonical representative of x's set.
 func (uf *UnionFind) Find(x int) int {
@@ -47,29 +54,5 @@ func (uf *UnionFind) Union(a, b int) bool {
 	if uf.rank[ra] == uf.rank[rb] {
 		uf.rank[ra]++
 	}
-	uf.sets--
 	return true
-}
-
-// Connected reports whether a and b are in the same set.
-func (uf *UnionFind) Connected(a, b int) bool { return uf.Find(a) == uf.Find(b) }
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Components returns the sets as sorted vertex slices, ordered by their
-// smallest member.
-func (uf *UnionFind) Components() [][]int {
-	groups := make(map[int][]int)
-	for i := range uf.parent {
-		r := uf.Find(i)
-		groups[r] = append(groups[r], i)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, members := range groups {
-		sort.Ints(members)
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

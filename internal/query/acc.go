@@ -141,3 +141,10 @@ func (a *Acc) holds() bool {
 	v, ok := a.result()
 	return ok && a.head.Op.Eval(v.Compare(a.head.Bound))
 }
+
+func sumValue(sumI int64, sumF float64, sawF bool) value.Value {
+	if sawF {
+		return value.Float(sumF + float64(sumI))
+	}
+	return value.Int(sumI)
+}

@@ -12,10 +12,10 @@ import (
 )
 
 // This file is the compiled engine's differential harness: the
-// slot-based compiled evaluator (plan.go), the interpreted evaluator it
-// replaced (interp.go), and the brute-force reference (reference.go)
-// must agree on every query and view — including overlays, negation,
-// comparisons, aggregates, skip-negation mode, and the fuzz corpus.
+// slot-based compiled evaluator (plan.go) and the brute-force reference
+// (reference.go) must agree on every query and view — including
+// overlays, negation, comparisons, aggregates, skip-negation mode,
+// projections, and the fuzz corpus.
 
 // randomOverlay layers 0–2 random transactions over the state,
 // exercising the base-then-extra probe order the compiled engine's
@@ -35,11 +35,10 @@ func randomOverlay(r *rand.Rand, s *relation.State) *relation.Overlay {
 	return relation.NewOverlay(s, txs...)
 }
 
-// TestCompiledAgainstInterpreted is the engine-replacement property
-// test: on random databases, random overlays, and random queries, the
-// compiled plan, the interpreted evaluator, and the naive reference all
-// return the same verdict.
-func TestCompiledAgainstInterpreted(t *testing.T) {
+// TestCompiledAgainstReference: on random databases, random overlays,
+// and random queries, the compiled plan and the naive reference return
+// the same verdict.
+func TestCompiledAgainstReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomState(r)
@@ -47,14 +46,13 @@ func TestCompiledAgainstInterpreted(t *testing.T) {
 		views := []relation.View{s, randomOverlay(r, s)}
 		for _, v := range views {
 			compiled, err1 := Eval(q, v)
-			interp, err2 := EvalInterpreted(q, v)
-			ref, err3 := EvalReference(q, v)
-			if err1 != nil || err2 != nil || err3 != nil {
-				t.Fatalf("eval errors: %v / %v / %v on %s", err1, err2, err3, q)
+			ref, err2 := EvalReference(q, v)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("eval errors: %v / %v on %s", err1, err2, q)
 			}
-			if compiled != interp || compiled != ref {
+			if compiled != ref {
 				t.Logf("query: %s", q)
-				t.Logf("compiled=%v interpreted=%v reference=%v", compiled, interp, ref)
+				t.Logf("compiled=%v reference=%v", compiled, ref)
 				return false
 			}
 		}
@@ -66,7 +64,7 @@ func TestCompiledAgainstInterpreted(t *testing.T) {
 }
 
 // bindingKey renders a variable assignment canonically (sorted by
-// variable name) so compiled and interpreted assignment streams can be
+// variable name) so compiled and reference assignment streams can be
 // compared as multisets regardless of enumeration order.
 func bindingKey(vars []string, get func(string) (value.Value, bool)) string {
 	sorted := append([]string(nil), vars...)
@@ -82,41 +80,41 @@ func bindingKey(vars []string, get func(string) (value.Value, bool)) string {
 	return b.String()
 }
 
-// TestAssignmentsCompiledAgainstInterpreted checks the assignment
-// enumeration both with and without negation checking (the PTIME
-// solvers rely on the skip-negation mode) yields identical binding
-// multisets from both engines.
-func TestAssignmentsCompiledAgainstInterpreted(t *testing.T) {
+// TestAssignmentsAgainstReference checks the assignment enumeration
+// both with and without negation checking (the PTIME solvers rely on
+// the skip-negation mode) yields the reference enumerator's binding
+// multiset.
+func TestAssignmentsAgainstReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomState(r)
 		q := randomQuery(r)
 		for _, checkNeg := range []bool{true, false} {
-			var compiled, interp []string
-			err1 := Assignments(q, s, checkNeg, func(b *Binding) bool {
+			var compiled, ref []string
+			err := Assignments(q, s, checkNeg, func(b *Binding) bool {
 				compiled = append(compiled, bindingKey(b.Vars(), b.Value))
 				return true
 			})
-			err2 := assignmentsInterpreted(q, s, checkNeg, func(m map[string]value.Value) bool {
+			if err != nil {
+				t.Fatalf("assignment error: %v on %s", err, q)
+			}
+			referenceAssignments(q, s, checkNeg, func(m map[string]value.Value) bool {
 				vars := make([]string, 0, len(m))
 				for name := range m {
 					vars = append(vars, name)
 				}
-				interp = append(interp, bindingKey(vars, func(name string) (value.Value, bool) {
+				ref = append(ref, bindingKey(vars, func(name string) (value.Value, bool) {
 					v, ok := m[name]
 					return v, ok
 				}))
 				return true
 			})
-			if err1 != nil || err2 != nil {
-				t.Fatalf("assignment errors: %v / %v on %s", err1, err2, q)
-			}
 			sort.Strings(compiled)
-			sort.Strings(interp)
-			if strings.Join(compiled, "\n") != strings.Join(interp, "\n") {
+			sort.Strings(ref)
+			if strings.Join(compiled, "\n") != strings.Join(ref, "\n") {
 				t.Logf("query: %s (checkNegation=%v)", q, checkNeg)
 				t.Logf("compiled: %v", compiled)
-				t.Logf("interpreted: %v", interp)
+				t.Logf("reference: %v", ref)
 				return false
 			}
 		}
@@ -127,9 +125,28 @@ func TestAssignmentsCompiledAgainstInterpreted(t *testing.T) {
 	}
 }
 
-// TestEvalTuplesCompiledAgainstInterpreted compares the projection
-// entry point on fixed head-variable queries over random states.
-func TestEvalTuplesCompiledAgainstInterpreted(t *testing.T) {
+// referenceTuples folds the reference enumerator's assignments into the
+// distinct head-variable projections: EvalTuples from first principles.
+func referenceTuples(q *Query, v relation.View) []value.Tuple {
+	seen := make(map[string]bool)
+	var out []value.Tuple
+	referenceAssignments(q, v, true, func(b map[string]value.Value) bool {
+		proj := make(value.Tuple, len(q.HeadVars))
+		for i, hv := range q.HeadVars {
+			proj[i] = b[hv]
+		}
+		if key := proj.Key(); !seen[key] {
+			seen[key] = true
+			out = append(out, proj)
+		}
+		return true
+	})
+	return out
+}
+
+// TestEvalTuplesAgainstReference compares the projection entry point on
+// fixed head-variable queries over random states.
+func TestEvalTuplesAgainstReference(t *testing.T) {
 	queries := []string{
 		"q(x, y) :- R(x, y)",
 		"q(x) :- R(x, x)",
@@ -143,23 +160,23 @@ func TestEvalTuplesCompiledAgainstInterpreted(t *testing.T) {
 		for seed := int64(0); seed < 50; seed++ {
 			r := rand.New(rand.NewSource(seed))
 			s := randomState(r)
-			compiled, err1 := EvalTuples(q, s)
-			interp, err2 := evalTuplesInterpreted(q, s)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("EvalTuples errors: %v / %v on %s", err1, err2, q)
+			compiled, err := EvalTuples(q, s)
+			if err != nil {
+				t.Fatalf("EvalTuples error: %v on %s", err, q)
 			}
+			ref := referenceTuples(q, s)
 			ck := make([]string, len(compiled))
 			for i, tp := range compiled {
 				ck[i] = tp.Key()
 			}
-			ik := make([]string, len(interp))
-			for i, tp := range interp {
-				ik[i] = tp.Key()
+			rk := make([]string, len(ref))
+			for i, tp := range ref {
+				rk[i] = tp.Key()
 			}
 			sort.Strings(ck)
-			sort.Strings(ik)
-			if strings.Join(ck, "|") != strings.Join(ik, "|") {
-				t.Errorf("%s seed %d: compiled %v vs interpreted %v", q, seed, compiled, interp)
+			sort.Strings(rk)
+			if strings.Join(ck, "|") != strings.Join(rk, "|") {
+				t.Errorf("%s seed %d: compiled %v vs reference %v", q, seed, compiled, ref)
 			}
 		}
 	}
@@ -187,9 +204,9 @@ func fuzzState() *relation.State {
 	return s
 }
 
-// FuzzEvalDifferential drives arbitrary parsed queries through both
-// engines and the reference: any input that parses and validates
-// against the fuzz schema must evaluate identically everywhere.
+// FuzzEvalDifferential drives arbitrary parsed queries through the
+// compiled engine and the reference: any input that parses and
+// validates against the fuzz schema must evaluate identically.
 func FuzzEvalDifferential(f *testing.F) {
 	seeds := []string{
 		"q() :- R(x, y)",
@@ -199,6 +216,7 @@ func FuzzEvalDifferential(f *testing.F) {
 		"q() :- TxOut(ntx, s, 'A', a)",
 		"q() :- TxIn(pt, ps, 'A', 1, n1, 'ASig'), TxOut(n1, o, 'B', 4)",
 		"q(sum(a)) > 5 :- TxIn(t, s, 'A', a, nt, 'ASig')",
+		"q(sum(a)) >= 5 :- TxOut(t, s, pk, a)", // float terms decide the verdict
 		"q(cntd(y)) >= 2 :- R(x, y)",
 		"q(count()) < 7 :- R(a, b)",
 		"q(max(b)) > 0 :- R(a, b), !S(b)",
@@ -222,14 +240,12 @@ func FuzzEvalDifferential(f *testing.F) {
 			return // references unknown relations or wrong arities
 		}
 		compiled, err1 := Eval(q, state)
-		interp, err2 := EvalInterpreted(q, state)
-		ref, err3 := EvalReference(q, state)
-		if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
-			t.Fatalf("error divergence on %s: %v / %v / %v", q, err1, err2, err3)
+		ref, err2 := EvalReference(q, state)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("error divergence on %s: %v / %v", q, err1, err2)
 		}
-		if err1 == nil && (compiled != interp || compiled != ref) {
-			t.Fatalf("verdict divergence on %s: compiled=%v interpreted=%v reference=%v",
-				q, compiled, interp, ref)
+		if err1 == nil && compiled != ref {
+			t.Fatalf("verdict divergence on %s: compiled=%v reference=%v", q, compiled, ref)
 		}
 	})
 }

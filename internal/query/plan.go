@@ -19,7 +19,7 @@ import (
 // and negated atom is pushed down to the earliest join depth at which
 // all of its variables are bound — so each condition is checked exactly
 // once per binding prefix instead of being re-derived and re-checked at
-// every depth, as the interpreted evaluator (interp.go) does.
+// every depth.
 //
 // The per-world runtime state lives in a Scratch that callers reuse
 // across evaluations: slot array, per-depth index-key buffers, and
@@ -216,9 +216,8 @@ func Compile(q *Query, v relation.View) (*Plan, error) {
 		}
 		switch {
 		case unbound:
-			// No positive atom binds the variable: under the
-			// interpreter's final-check semantics no assignment ever
-			// satisfies the body.
+			// No positive atom binds the variable: no assignment
+			// ever satisfies the body.
 			p.unsatCmp = true
 			p.deadConds = append(p.deadConds, fmt.Sprintf("%s references an unbound variable", c))
 		case len(vars) == 0:
@@ -685,8 +684,8 @@ func (sc *Scratch) negHolds(n *compiledNeg) bool {
 }
 
 // slotOr returns the slot's current value, or Null for -1 (a head or
-// aggregate variable no positive atom binds), matching the interpreted
-// evaluator's missing-binding behavior.
+// aggregate variable no positive atom binds), matching the reference
+// evaluator's missing-binding value.
 func (sc *Scratch) slotOr(s int) value.Value {
 	if s < 0 {
 		return value.Null
@@ -731,8 +730,7 @@ func (p *Plan) EvalBase(v relation.View, sc *Scratch, acc *Acc) (bool, error) {
 // fold runs the plan over the view, feeding every assignment's
 // aggregate projection into acc, and reports whether the aggregate's
 // head comparison holds. A monotone head stops as soon as the bound is
-// crossed; an empty bag yields false (see the interpreted twin in
-// interp.go).
+// crossed; an empty bag yields false (see referenceAggregate).
 func (p *Plan) fold(v relation.View, sc *Scratch, acc *Acc) bool {
 	sc.prepare(p, v, false, sc.yieldFold)
 	sc.acc = acc

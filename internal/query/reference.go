@@ -11,12 +11,38 @@ import (
 // enumerate every combination of tuples for the positive atoms, keep
 // the combinations that induce a consistent assignment satisfying all
 // negated atoms and comparisons, and fold the aggregate over the
-// surviving assignments. It exists to cross-validate Eval in tests and
-// for the evaluator ablation benchmark; production code calls Eval.
+// surviving assignments. It is the oracle the compiled engine is
+// tested against; production code calls Eval.
 func EvalReference(q *Query, v relation.View) (bool, error) {
 	if err := q.CheckAgainst(v); err != nil {
 		return false, err
 	}
+	// Deduplicate assignments: distinct tuple combinations that induce
+	// the same variable assignment are one element of H.
+	byKey := make(map[string]map[string]value.Value)
+	vars := q.Vars()
+	referenceAssignments(q, v, true, func(b map[string]value.Value) bool {
+		var keyTuple value.Tuple
+		for _, vn := range vars {
+			keyTuple = append(keyTuple, b[vn])
+		}
+		byKey[keyTuple.Key()] = b
+		return true
+	})
+	if q.Agg == nil {
+		return len(byKey) > 0, nil
+	}
+	return referenceAggregate(q.Agg, byKey)
+}
+
+// referenceAssignments is the reference enumerator: it tries every
+// combination of tuples for the positive atoms of the (already
+// schema-checked) query and yields the assignment each consistent
+// combination induces, once per combination, in the multiset sense of
+// Assignments. Negated atoms are checked only when checkNegation is
+// set; the aggregate head is ignored. Each yielded map is fresh. yield
+// returning false stops the enumeration.
+func referenceAssignments(q *Query, v relation.View, checkNegation bool, yield func(map[string]value.Value) bool) {
 	pos := q.Positives()
 	// Materialize candidate tuples per positive atom.
 	choices := make([][]value.Tuple, len(pos))
@@ -26,42 +52,30 @@ func EvalReference(q *Query, v relation.View) (bool, error) {
 			return true
 		})
 	}
-	var assignments []map[string]value.Value
 	combo := make([]value.Tuple, len(pos))
-	var rec func(i int)
-	rec = func(i int) {
+	var rec func(i int) bool
+	rec = func(i int) bool {
 		if i == len(pos) {
-			if b, ok := bindingOf(pos, combo, v, q); ok {
-				assignments = append(assignments, b)
+			if b, ok := bindingOf(pos, combo, v, q, checkNegation); ok {
+				return yield(b)
 			}
-			return
+			return true
 		}
 		for _, t := range choices[i] {
 			combo[i] = t
-			rec(i + 1)
+			if !rec(i + 1) {
+				return false
+			}
 		}
+		return true
 	}
 	rec(0)
-	// Deduplicate assignments: distinct tuple combinations that induce
-	// the same variable assignment are one element of H.
-	byKey := make(map[string]map[string]value.Value)
-	vars := q.Vars()
-	for _, b := range assignments {
-		var keyTuple value.Tuple
-		for _, vn := range vars {
-			keyTuple = append(keyTuple, b[vn])
-		}
-		byKey[keyTuple.Key()] = b
-	}
-	if q.Agg == nil {
-		return len(byKey) > 0, nil
-	}
-	return referenceAggregate(q.Agg, byKey)
 }
 
 // bindingOf attempts to unify the atoms with the chosen tuples and
-// check every condition; it returns the induced assignment on success.
-func bindingOf(pos []Atom, combo []value.Tuple, v relation.View, q *Query) (map[string]value.Value, bool) {
+// check every condition (negated atoms only when checkNegation is
+// set); it returns the induced assignment on success.
+func bindingOf(pos []Atom, combo []value.Tuple, v relation.View, q *Query, checkNegation bool) (map[string]value.Value, bool) {
 	b := make(map[string]value.Value)
 	for i, a := range pos {
 		t := combo[i]
@@ -81,17 +95,19 @@ func bindingOf(pos []Atom, combo []value.Tuple, v relation.View, q *Query) (map[
 			b[arg.Var] = t[j]
 		}
 	}
-	for _, a := range q.Negatives() {
-		tup := make(value.Tuple, len(a.Args))
-		for j, arg := range a.Args {
-			if arg.IsVar() {
-				tup[j] = b[arg.Var]
-			} else {
-				tup[j] = arg.Const
+	if checkNegation {
+		for _, a := range q.Negatives() {
+			tup := make(value.Tuple, len(a.Args))
+			for j, arg := range a.Args {
+				if arg.IsVar() {
+					tup[j] = b[arg.Var]
+				} else {
+					tup[j] = arg.Const
+				}
 			}
-		}
-		if v.Contains(a.Rel, tup) {
-			return nil, false
+			if v.Contains(a.Rel, tup) {
+				return nil, false
+			}
 		}
 	}
 	for _, c := range q.Comparisons {
