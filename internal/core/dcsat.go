@@ -137,7 +137,8 @@ type Stats struct {
 	Cliques           int  // maximal cliques enumerated
 	WorldsEvaluated   int  // worlds the query was evaluated on
 	WorldsIncremental int  // worlds extended in place along the clique tree (delta re-probe)
-	WorldsRebuilt     int  // worlds materialized from scratch (one per clique-tree root)
+	WorldsRebuilt     int  // clique-tree roots evaluated in full (one per walk)
+	RootsShared       int  // of those, evaluated on the prepared view's root (a walk below it still runs the fixpoint)
 	Duration          time.Duration
 
 	// Cost-attribution counters (obs.CostVector sources): compiled-plan
@@ -175,6 +176,7 @@ func (s *Stats) Merge(o Stats) {
 	s.WorldsEvaluated += o.WorldsEvaluated
 	s.WorldsIncremental += o.WorldsIncremental
 	s.WorldsRebuilt += o.WorldsRebuilt
+	s.RootsShared += o.RootsShared
 	s.Duration += o.Duration
 	s.PlanProbes += o.PlanProbes
 	s.CacheHits += o.CacheHits
@@ -512,6 +514,7 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 		splitSpan.End()
 	} else {
 		groups = [][]int{live}
+		env.wholeLive = true
 	}
 	res.Stats.Components = len(groups)
 	if err := ctx.Err(); err != nil {
@@ -584,12 +587,14 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 // cliqueSearch walks one component's Bron–Kerbosch tree, or one
 // branch of it, and evaluates the query on the maximal world of each
 // maximal clique. It is a graph.MaximalCliquesVisitor that maintains
-// ONE world along the recursion: beginIncremental materializes the
-// root world of the component's universal members, each Descend
-// pushes a transaction onto a possible.WorldStack and enumerates only
-// the assignments touching the delta, through the plan's delta-first
-// join orders; an aggregate folds them into an accumulator that each
-// Ascend restores along with the world. Leaves cost nothing — their
+// ONE world along the recursion: beginIncremental evaluates the root
+// world of the component's universal members — materialized by the
+// search, or shared from the prepared view when the component is the
+// whole live set — each Descend pushes a transaction onto a
+// possible.WorldStack and enumerates only the assignments touching the
+// delta, through the plan's delta-first join orders; an aggregate
+// folds them into an accumulator that each Ascend restores along with
+// the world. Leaves cost nothing — their
 // worlds were already evaluated edge by edge on the way down. Every
 // query the clique algorithms accept is monotone, so every plan
 // supports this delta evaluation (Plan.SupportsDelta).
@@ -619,12 +624,22 @@ type cliqueSearch struct {
 	acc      query.Acc
 	relNames []string
 	floorBuf []int
+
+	// Shared root: rootView holds the root when the component is the
+	// whole live set (nil otherwise); root is the shared root the walk
+	// is still on, cleared when the first Descend rebases the stack.
+	rootView preparedView
+	root     *possible.Root
 }
 
 // newCliqueSearch prepares a search over one component's fd graph.
 func newCliqueSearch(ctx context.Context, d *possible.DB, cg *fdCompGraph, env checkEnv, stats *Stats) *cliqueSearch {
-	return &cliqueSearch{ctx: ctx, d: d, g: cg.g, comp: cg.conflicted, base: cg.universal,
+	s := &cliqueSearch{ctx: ctx, d: d, g: cg.g, comp: cg.conflicted, base: cg.universal,
 		stats: stats, plan: env.plan, sc: query.NewScratch(), relNames: env.plan.RelNames()}
+	if env.wholeLive {
+		s.rootView = env.view
+	}
+	return s
 }
 
 // walk searches the subtree under branch b and reports the first
@@ -663,18 +678,37 @@ func (s *cliqueSearch) markHit(included []int) {
 }
 
 // beginIncremental establishes the incremental walk's root: the world
-// of the component's universal members, materialized once and fully
-// evaluated (an aggregate folded in full into the accumulator). It
-// reports whether the tree walk should proceed — false on a root hit
-// (every extension of a violating world also violates, the query being
-// monotone in the view), an evaluation error, or a cancelled context.
+// of the component's universal members, fully evaluated (an aggregate
+// folded in full into the accumulator). A root shared from the
+// prepared view is evaluated where it stands, read-only; the stack
+// materializes its own root only when the walk first descends.
+// Otherwise the stack materializes the root by the fixpoint at once.
+// It reports whether the tree walk should proceed — false on a root
+// hit (every extension of a violating world also violates, the query
+// being monotone in the view), an evaluation error, or a cancelled
+// context.
 func (s *cliqueSearch) beginIncremental() bool {
 	if err := s.ctx.Err(); err != nil {
 		s.err = err
 		return false
 	}
 	evalStart := time.Now()
-	world, included := s.ws.Rebase(s.d, s.base)
+	var (
+		world    *relation.Overlay
+		included []int
+	)
+	if s.rootView != nil {
+		root, built := s.rootView.liveRoot()
+		if root != nil && !built {
+			s.stats.RootsShared++
+		}
+		s.root = root
+	}
+	if s.root != nil {
+		world, included = s.root.World(), s.root.Included()
+	} else {
+		world, included = s.ws.Rebase(s.d, s.base)
+	}
 	s.stats.WorldsRebuilt++
 	hit, err := s.plan.EvalBase(world, s.sc, &s.acc)
 	s.evalDur += time.Since(evalStart)
@@ -695,13 +729,19 @@ func (s *cliqueSearch) beginIncremental() bool {
 // ancestor world on the path — root included — is known hit-free. A
 // hit here is a valid violating world (the stack's included set is
 // exactly a reachable transaction set), so the walk stops without ever
-// reaching a leaf.
+// reaching a leaf. The first Descend from a shared root rebases the
+// stack on the same base; its fixpoint puts every tuple where the root
+// has it, so the floors and the accumulator describe the stack's world.
 func (s *cliqueSearch) Descend(v int) bool {
 	if err := s.ctx.Err(); err != nil {
 		s.err = err
 		return false
 	}
 	evalStart := time.Now()
+	if s.root != nil {
+		s.ws.Rebase(s.d, s.base)
+		s.root = nil
+	}
 	s.floorBuf = s.floorBuf[:0]
 	w := s.ws.World()
 	for _, rel := range s.relNames {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"blockchaindb/internal/possible"
@@ -65,8 +66,7 @@ func fdOnlyDCSat(ctx context.Context, d *possible.DB, q *query.Query, view prepa
 			"(or min with >), not %s", q.Agg)
 	}
 	res := &Result{Satisfied: true}
-	live := view.live()
-	pos := q.Positives()
+	sup := &supplierIndex{d: d, live: view.live(), pos: q.Positives()}
 	// The aggregate test does not depend on the assignment, so each
 	// distinct minimal world is evaluated once.
 	holds, seen := negationsHold, map[string]bool(nil)
@@ -81,7 +81,7 @@ func fdOnlyDCSat(ctx context.Context, d *possible.DB, q *query.Query, view prepa
 				return false
 			}
 		}
-		suppliers, usable := supportSuppliers(d, live, pos, binding)
+		suppliers, usable := sup.suppliers(binding)
 		if !usable {
 			return true
 		}
@@ -172,24 +172,69 @@ func supportKey(support []int) string {
 	return string(b)
 }
 
-// supportSuppliers grounds the positive atoms under the assignment and
-// collects, per ground tuple absent from the state, the live
-// transactions able to supply it. usable is false when some tuple has
-// no supplier.
-func supportSuppliers(d *possible.DB, live []int, pos []query.Atom, binding *query.Binding) ([][]int, bool) {
-	var suppliers [][]int
-	for _, a := range pos {
-		tup := groundAtom(a, binding)
-		if d.State.Contains(a.Rel, tup) {
+// supplierIndex maps the tuples of the live transactions, in the
+// query's positive relations, to the live slots that hold them, so
+// finding an assignment's suppliers costs one probe per ground atom
+// rather than a scan of every live transaction. It is built on the
+// first ground atom absent from the state: a check whose atoms all
+// ground into R never builds it.
+type supplierIndex struct {
+	d       *possible.DB
+	live    []int
+	pos     []query.Atom
+	holders map[string][]supplier // relation + equalKey of a tuple -> its holders, slots ascending; nil until built
+	buf     []byte
+}
+
+// supplier is one live slot holding a tuple under a given key.
+type supplier struct {
+	slot int
+	tup  value.Tuple
+}
+
+func (idx *supplierIndex) build() {
+	idx.holders = make(map[string][]supplier)
+	seen := make(map[string]bool, len(idx.pos))
+	for _, a := range idx.pos {
+		if seen[a.Rel] {
 			continue
 		}
+		seen[a.Rel] = true
+		for _, slot := range idx.live {
+			for _, t := range idx.d.Pending[slot].Tuples(a.Rel) {
+				k := string(idx.key(a.Rel, t))
+				idx.holders[k] = append(idx.holders[k], supplier{slot, t})
+			}
+		}
+	}
+}
+
+// key is the probe key of tuple t of rel, built in the index's buffer:
+// tuples that are Equal get the same key.
+func (idx *supplierIndex) key(rel string, t value.Tuple) []byte {
+	idx.buf = append(append(idx.buf[:0], rel...), 0)
+	idx.buf = appendEqualKey(idx.buf, t)
+	return idx.buf
+}
+
+// suppliers grounds the positive atoms under the assignment and
+// collects, per ground tuple absent from the state, the live slots
+// able to supply it, ascending. usable is false when some tuple has no
+// supplier.
+func (idx *supplierIndex) suppliers(binding *query.Binding) ([][]int, bool) {
+	var suppliers [][]int
+	for _, a := range idx.pos {
+		tup := groundAtom(a, binding)
+		if idx.d.State.Contains(a.Rel, tup) {
+			continue
+		}
+		if idx.holders == nil {
+			idx.build()
+		}
 		var cands []int
-		for _, ti := range live {
-			for _, t := range d.Pending[ti].Tuples(a.Rel) {
-				if t.Equal(tup) {
-					cands = append(cands, ti)
-					break
-				}
+		for _, h := range idx.holders[string(idx.key(a.Rel, tup))] {
+			if (len(cands) == 0 || cands[len(cands)-1] != h.slot) && h.tup.Equal(tup) {
+				cands = append(cands, h.slot)
 			}
 		}
 		if len(cands) == 0 {
@@ -198,6 +243,28 @@ func supportSuppliers(d *possible.DB, live []int, pos []query.Atom, binding *que
 		suppliers = append(suppliers, cands)
 	}
 	return suppliers, true
+}
+
+// appendEqualKey appends to dst an encoding of t under which Equal
+// tuples encode alike: a numeric value is encoded as its float64, with
+// -0 and every NaN collapsed. Tuples that encode alike need not be
+// Equal (two large ints may round to one float), so a probe still
+// compares with Equal.
+func appendEqualKey(dst []byte, t value.Tuple) []byte {
+	for _, v := range t {
+		if v.IsNumeric() {
+			f := v.AsFloat()
+			switch {
+			case f == 0:
+				f = 0
+			case math.IsNaN(f):
+				f = math.NaN()
+			}
+			v = value.Float(f)
+		}
+		dst = v.AppendKey(dst)
+	}
+	return dst
 }
 
 // forEachCompatibleSupport enumerates the mutually fd-compatible

@@ -48,8 +48,11 @@ var incrementalQueries = []string{
 // oracle: on random Bitcoin-like databases (at most 4 pending
 // transactions, so Poss(D) is small) NaiveDCSat and OptDCSat must
 // agree with exhaustive enumeration of every possible world, serial
-// and branch-parallel alike, and any witness must be a reachable
-// world that satisfies the query.
+// and branch-parallel alike, and any witness must be a reachable world
+// that satisfies the query. Each NaiveDCSat check runs twice on a
+// database of its own: cold, building the prepared root, then warm,
+// sharing it. Both must agree with the exhaustive check, with equal
+// witnesses.
 func TestIncrementalWorldsDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -64,34 +67,39 @@ func TestIncrementalWorldsDifferential(t *testing.T) {
 			{Algorithm: AlgoNaive},
 			{Algorithm: AlgoOpt, Workers: 3},
 			{Algorithm: AlgoNaive, Workers: 3},
+			{Algorithm: AlgoNaive, DisablePrecheck: true},
 			{Algorithm: AlgoOpt, DisablePrecheck: true},
 		} {
-			got, err := Check(context.Background(), d, q, opts)
-			if err != nil {
-				t.Fatalf("opts %+v: %v", opts, err)
-			}
-			if got.Satisfied != want.Satisfied {
-				t.Logf("seed %d query %s opts %+v: incremental=%v exhaustive=%v",
-					seed, q, opts, got.Satisfied, want.Satisfied)
-				return false
-			}
-			if !got.Satisfied {
-				if !d.IsReachable(got.Witness) {
-					t.Logf("seed %d: witness %v not reachable", seed, got.Witness)
-					return false
-				}
-				world := relation.NewOverlay(d.State)
-				for _, i := range got.Witness {
-					world.Add(d.Pending[i])
-				}
-				hit, err := query.Eval(q, world)
+			if opts.Algorithm != AlgoNaive {
+				got, err := Check(context.Background(), d, q, opts)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("opts %+v: %v", opts, err)
 				}
-				if !hit {
-					t.Logf("seed %d: witness world %v does not satisfy %s", seed, got.Witness, q)
+				if !agreesIncremental(t, d, q, got, want, seed, opts) {
 					return false
 				}
+				continue
+			}
+			own := &possible.DB{State: d.State, Constraints: d.Constraints, Pending: d.Pending}
+			var runs [2]*Result
+			for i := range runs {
+				if runs[i], err = Check(context.Background(), own, q, opts); err != nil {
+					t.Fatalf("opts %+v: %v", opts, err)
+				}
+				if !agreesIncremental(t, d, q, runs[i], want, seed, opts) {
+					return false
+				}
+			}
+			cold, warm := runs[0], runs[1]
+			// Cold, the first branch to reach the root builds it and any
+			// other branch shares it; warm, every branch shares it.
+			built := cold.Stats.WorldsRebuilt - cold.Stats.RootsShared
+			if built != min(cold.Stats.WorldsRebuilt, 1) || warm.Stats.RootsShared != warm.Stats.WorldsRebuilt ||
+				fmt.Sprint(cold.Witness) != fmt.Sprint(warm.Witness) {
+				t.Logf("seed %d query %s opts %+v: cold witness %v (%d roots built), warm %v (%d of %d roots shared)",
+					seed, q, opts, cold.Witness, built,
+					warm.Witness, warm.Stats.RootsShared, warm.Stats.WorldsRebuilt)
+				return false
 			}
 		}
 		return true
@@ -99,6 +107,38 @@ func TestIncrementalWorldsDifferential(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// agreesIncremental checks a clique algorithm's verdict against the
+// exhaustive one and revalidates a violation's witness: a reachable
+// world that satisfies q.
+func agreesIncremental(t *testing.T, d *possible.DB, q *query.Query, got, want *Result, seed int64, opts Options) bool {
+	t.Helper()
+	if got.Satisfied != want.Satisfied {
+		t.Logf("seed %d query %s opts %+v: incremental=%v exhaustive=%v",
+			seed, q, opts, got.Satisfied, want.Satisfied)
+		return false
+	}
+	if got.Satisfied {
+		return true
+	}
+	if !d.IsReachable(got.Witness) {
+		t.Logf("seed %d: witness %v not reachable", seed, got.Witness)
+		return false
+	}
+	world := relation.NewOverlay(d.State)
+	for _, i := range got.Witness {
+		world.Add(d.Pending[i])
+	}
+	hit, err := query.Eval(q, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit {
+		t.Logf("seed %d: witness world %v does not satisfy %s", seed, got.Witness, q)
+		return false
+	}
+	return true
 }
 
 // TestIncrementalStatsSplit: the world-accounting counters reflect the

@@ -13,7 +13,8 @@ import (
 // database version and kept on the possible.DB; Monitor.Check gets a
 // monitorView over the structures the Monitor maintains under its
 // mutations. Either way the check reads the database's union, liveness,
-// Θ_I partition and fd conflicts only through this interface.
+// Θ_I partition, fd conflicts and live root only through this
+// interface.
 type preparedView interface {
 	// union returns R ∪ ∪T, which contains every possible world. It is
 	// shared by concurrent checks and must not be modified.
@@ -29,6 +30,11 @@ type preparedView interface {
 	// appendConflicts appends to dst, once each, the pending slots whose
 	// transactions fd-conflict with the one at slot.
 	appendConflicts(dst []int, slot int) []int
+	// liveRoot returns the root world of a clique search over all of
+	// live(): the getMaximal fixpoint over the members of live() that
+	// fd-conflict with no other live member. built reports whether this
+	// call built it. A view that keeps no root returns nil.
+	liveRoot() (root *possible.Root, built bool)
 }
 
 // dbView is the stateless Check's prepared view. It is built from a
@@ -36,17 +42,18 @@ type preparedView interface {
 // each part on first use, so the check that first needs a part pays for
 // it inside the stage the part replaces: the union in the precheck,
 // liveness in the live filter, the seeds in the component split, the
-// conflicts in the fd-graph build. Concurrent checks build each part
-// once.
+// conflicts in the fd-graph build, the live root in the world
+// evaluation. Concurrent checks build each part once.
 type dbView struct {
 	d *possible.DB // the snapshot the view is prepared from
 
-	unionOnce, liveOnce, seedsOnce, adjOnce sync.Once
+	unionOnce, liveOnce, seedsOnce, adjOnce, rootOnce sync.Once
 
 	unionOv    *relation.Overlay
 	liveSlots  []int
 	seedGroups [][]int
 	adj        [][]int // pending slot -> its fd-conflicting slots
+	root       *possible.Root
 }
 
 // prepare returns d's prepared view for its current version, creating
@@ -82,12 +89,23 @@ func (v *dbView) appendConflicts(dst []int, slot int) []int {
 	return append(dst, v.adj[slot]...)
 }
 
+// liveRoot depends on the database alone: every maximal clique of the
+// live set's fd graph contains its universal members, so the root world
+// NaiveDCSat walks from is the same for every query.
+func (v *dbView) liveRoot() (root *possible.Root, built bool) {
+	v.rootOnce.Do(func() {
+		built = true
+		v.root = possible.NewRoot(v.d, fdGraphFromConflicts(v.live(), v).universal)
+	})
+	return v.root, built
+}
+
 // monitorView is Monitor.Check's prepared view. It lives for one check,
 // under the Monitor's read lock: the union is the Monitor's own (kept
 // across checks, see Monitor.unionOverlay), liveness comes from m.live,
 // the seeds from the maintained partition m.parts, and the conflicts
 // from the maintained adjacency m.conflictAdj. live and seeds are
-// filled on first use.
+// filled on first use; it keeps no live root.
 type monitorView struct {
 	m *Monitor
 
@@ -135,6 +153,10 @@ func (v *monitorView) seeds() [][]int {
 	})
 	return v.seedGroups
 }
+
+// liveRoot keeps no root: a Monitor's pending set changes between
+// checks, so its searches build their roots as they go.
+func (v *monitorView) liveRoot() (*possible.Root, bool) { return nil, false }
 
 func (v *monitorView) appendConflicts(dst []int, slot int) []int {
 	m := v.m

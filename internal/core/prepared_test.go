@@ -35,11 +35,16 @@ var preparedQueries = []struct {
 	{"q() :- TxIn(pt, ps, 'U1Pk', a, nt, sig), TxOut(nt, s2, pk2, a2)", Options{Algorithm: AlgoOpt, DisablePrecheck: true, Workers: 2}},
 	{"q(sum(a)) > 2 :- TxIn(pt, ps, pk, a, nt, sig)", Options{Algorithm: AlgoNaive}},
 	{"q() :- TxOut(t, s, 'U3Pk', a)", Options{Algorithm: AlgoFDOnly}},
+	// Only pending transactions pay U3Pk, and they often double-spend,
+	// so the shared root misses and the walk descends below it.
+	{"q() :- TxOut(t, s, 'U3Pk', a)", Options{Algorithm: AlgoNaive, DisablePrecheck: true}},
 }
 
 // checkSame runs the queries on d and on a freshly built database with
-// the same contents, and reports the first disagreement.
-func checkSame(t *testing.T, d *possible.DB, step string) {
+// the same contents, and reports the first disagreement. It returns how
+// many violated checks on d shared the prepared root and found the
+// violation below it.
+func checkSame(t *testing.T, d *possible.DB, step string) (sharedRootDescents int) {
 	t.Helper()
 	fresh := &possible.DB{State: d.State, Constraints: d.Constraints,
 		Pending: append([]*relation.Transaction(nil), d.Pending...)}
@@ -57,6 +62,9 @@ func checkSame(t *testing.T, d *possible.DB, step string) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !got.Satisfied && got.Stats.RootsShared > 0 && got.Stats.WorldsIncremental > 0 {
+			sharedRootDescents++
+		}
 		if got.Satisfied != want.Satisfied || fmt.Sprint(got.Witness) != fmt.Sprint(want.Witness) ||
 			got.Stats.LivePending != want.Stats.LivePending || got.Stats.Components != want.Stats.Components {
 			t.Fatalf("%s: %s %v on the reused database: satisfied=%v witness=%v live=%d components=%d; "+
@@ -65,6 +73,7 @@ func checkSame(t *testing.T, d *possible.DB, step string) {
 				want.Satisfied, want.Witness, want.Stats.LivePending, want.Stats.Components)
 		}
 	}
+	return sharedRootDescents
 }
 
 // TestPreparedViewFollowsInPlaceEdits reuses one database across the
@@ -74,6 +83,7 @@ func checkSame(t *testing.T, d *possible.DB, step string) {
 // unchanged, and growing the state — and requires every check to
 // answer as a check on a freshly built database does.
 func TestPreparedViewFollowsInPlaceEdits(t *testing.T) {
+	descents := 0
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		d := bitcoinLikeDB(r)
@@ -94,15 +104,15 @@ func TestPreparedViewFollowsInPlaceEdits(t *testing.T) {
 			return norm
 		}
 		for _, db := range []*possible.DB{d, noIND} {
-			checkSame(t, db, fmt.Sprintf("seed %d initial", seed))
+			descents += checkSame(t, db, fmt.Sprintf("seed %d initial", seed))
 			db.Pending = append(db.Pending, newTx(db), newTx(db))
-			checkSame(t, db, fmt.Sprintf("seed %d append", seed))
+			descents += checkSame(t, db, fmt.Sprintf("seed %d append", seed))
 			db.Pending[r.Intn(len(db.Pending))] = newTx(db)
-			checkSame(t, db, fmt.Sprintf("seed %d replace", seed))
+			descents += checkSame(t, db, fmt.Sprintf("seed %d replace", seed))
 			i, last := r.Intn(len(db.Pending)), len(db.Pending)-1
 			db.Pending[i] = db.Pending[last]
 			db.Pending = append(db.Pending[:last], newTx(db))
-			checkSame(t, db, fmt.Sprintf("seed %d swap-remove and append", seed))
+			descents += checkSame(t, db, fmt.Sprintf("seed %d swap-remove and append", seed))
 			// Commit an output under the key of a pending transaction's
 			// output, to another payee: the pending transaction dies.
 			out := db.Pending[r.Intn(len(db.Pending))].Tuples("TxOut")[0]
@@ -110,8 +120,11 @@ func TestPreparedViewFollowsInPlaceEdits(t *testing.T) {
 				Add("TxOut", value.NewTuple(out[0], out[1], value.Str("ZPk"), out[3]))); err != nil {
 				t.Fatal(err)
 			}
-			checkSame(t, db, fmt.Sprintf("seed %d state insert", seed))
+			descents += checkSame(t, db, fmt.Sprintf("seed %d state insert", seed))
 		}
+	}
+	if descents == 0 {
+		t.Error("no violated check descended from a shared root")
 	}
 }
 
@@ -152,6 +165,158 @@ func TestPreparedViewConcurrentFirstCheck(t *testing.T) {
 		if v != views[0] {
 			t.Fatalf("goroutine %d got prepared view %p, goroutine 0 %p", g, v, views[0])
 		}
+	}
+}
+
+// rootDB is a database whose NaiveDCSat root misses both rootQueries:
+// outputs (1,1) and (1,2) are each double-spent, by A1/A2 and B1/B2,
+// while C, D (spending C's output) and E conflict with nothing and form
+// the root. Only A1 pays U3Pk, and the U1Pk payee besides D is B1, so
+// both violations are found below the root.
+func rootDB() *possible.DB {
+	s := fixture.BitcoinSchema()
+	cons := fixture.BitcoinConstraints(s)
+	for i := int64(1); i <= 4; i++ {
+		s.MustInsert("TxOut", fixture.TxOut(1, i, fmt.Sprintf("U%dPk", (i-1)%3), 1))
+	}
+	spend := func(name string, pt, ps int64, owner string, nt int64, payee string) *relation.Transaction {
+		return relation.NewTransaction(name).
+			Add("TxIn", fixture.TxIn(pt, ps, owner, 1, nt, owner+"Sig")).
+			Add("TxOut", fixture.TxOut(nt, 1, payee, 1))
+	}
+	return possible.MustNew(s, cons, []*relation.Transaction{
+		spend("A1", 1, 1, "U0Pk", 10, "U3Pk"),
+		spend("C", 1, 3, "U2Pk", 14, "U0Pk"),
+		spend("A2", 1, 1, "U0Pk", 11, "U0Pk"),
+		spend("B1", 1, 2, "U1Pk", 12, "U1Pk"),
+		spend("D", 14, 1, "U0Pk", 15, "U1Pk"),
+		spend("B2", 1, 2, "U1Pk", 13, "U2Pk"),
+		spend("E", 1, 4, "U0Pk", 16, "U2Pk"),
+	})
+}
+
+// rootQueries are violated on rootDB below the root: the first is
+// connected (OptDCSat splits it), the second an aggregate, which every
+// clique algorithm searches as the one group of all live transactions.
+var rootQueries = []string{
+	"q() :- TxOut(t, s, 'U3Pk', a)",
+	"q(count()) >= 2 :- TxIn(pt, ps, pk, a, nt, sig), TxOut(nt, s, 'U1Pk', a2)",
+}
+
+// TestPreparedLiveRoot: NaiveDCSat takes its root from the prepared
+// view, built by the first check and shared by the next, and the view
+// replaces the root after each in-place edit.
+func TestPreparedLiveRoot(t *testing.T) {
+	d := rootDB()
+	q := query.MustParse(rootQueries[0])
+	opts := Options{Algorithm: AlgoNaive}
+	first, err := Check(context.Background(), d, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Check(context.Background(), d, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.RootsShared != 0 || second.Stats.RootsShared != 1 || second.Stats.WorldsRebuilt != 1 {
+		t.Errorf("roots shared: first check %d, second %d (rebuilt %d); want 0, then 1 of 1",
+			first.Stats.RootsShared, second.Stats.RootsShared, second.Stats.WorldsRebuilt)
+	}
+	if first.Satisfied || second.Satisfied || fmt.Sprint(first.Witness) != fmt.Sprint(second.Witness) {
+		t.Errorf("first check %v %v, second %v %v; want one violation twice",
+			first.Satisfied, first.Witness, second.Satisfied, second.Witness)
+	}
+	if got := fmt.Sprint(first.Witness); got != "[0 1 4 6]" {
+		t.Errorf("witness %s, want [0 1 4 6] (A1 pushed onto the root C, D, E)", got)
+	}
+	root, _ := prepare(d).liveRoot()
+	if fmt.Sprint(root.Included()) != "[1 4 6]" {
+		t.Fatalf("root includes %v, want [1 4 6] (C, D, E)", root.Included())
+	}
+	edits := []struct {
+		name string
+		edit func()
+	}{
+		{"append to Pending", func() {
+			d.Pending = append(d.Pending, relation.NewTransaction("F").Add("TxOut", fixture.TxOut(20, 1, "U1Pk", 1)))
+		}},
+		{"replace a slot", func() {
+			d.Pending[0] = relation.NewTransaction("G").Add("TxOut", fixture.TxOut(21, 1, "U2Pk", 1))
+		}},
+		{"insert into the state", func() {
+			d.State.MustInsert("TxOut", fixture.TxOut(2, 1, "U3Pk", 1))
+		}},
+	}
+	for _, e := range edits {
+		if again, _ := prepare(d).liveRoot(); again != root {
+			t.Fatalf("before %s: liveRoot changed on an unchanged database", e.name)
+		}
+		e.edit()
+		next, built := prepare(d).liveRoot()
+		if next == root || !built {
+			t.Fatalf("after %s: liveRoot returned the old root (built=%v)", e.name, built)
+		}
+		root = next
+	}
+}
+
+// TestPreparedRootConcurrent: eight goroutines run the first checks on
+// one fresh database at once — NaiveDCSat and OptDCSat, serial and
+// branch-parallel — so lazy index builds on the shared root race with
+// each other while other searches walk below it. Every result must
+// match a serial check on a database of its own, and the root must be
+// built once.
+func TestPreparedRootConcurrent(t *testing.T) {
+	d := rootDB()
+	type run struct {
+		q    *query.Query
+		opts Options
+	}
+	runs := make([]run, 8)
+	for g := range runs {
+		runs[g] = run{query.MustParse(rootQueries[g%2]), Options{Algorithm: AlgoNaive, Workers: 1 + g/2%2}}
+		if g >= 4 {
+			runs[g].opts.Algorithm = AlgoOpt
+		}
+	}
+	results := make([]*Result, len(runs))
+	var wg sync.WaitGroup
+	for g := range runs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			res, err := Check(context.Background(), d, runs[g].q, runs[g].opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[g] = res
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	builds, descents := 0, 0
+	for g, res := range results {
+		want, err := Check(context.Background(), rootDB(), runs[g].q, runs[g].opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Satisfied != want.Satisfied || fmt.Sprint(res.Witness) != fmt.Sprint(want.Witness) {
+			t.Errorf("goroutine %d (%s, %+v): satisfied=%v witness=%v, serial: %v %v",
+				g, runs[g].q, runs[g].opts, res.Satisfied, res.Witness, want.Satisfied, want.Witness)
+		}
+		if runs[g].opts.Algorithm == AlgoNaive || runs[g].q.IsAggregate() {
+			builds += res.Stats.WorldsRebuilt - res.Stats.RootsShared
+		}
+		descents += res.Stats.WorldsIncremental
+	}
+	if builds != 1 {
+		t.Errorf("the live root was built %d times, want 1", builds)
+	}
+	if descents == 0 {
+		t.Error("no search descended from the root")
 	}
 }
 

@@ -211,13 +211,16 @@ func (t *verdictTable) size() int {
 // table and this check's epoch in it (nil and zero when the check
 // reuses no verdicts), the compiled query plan every per-world
 // evaluation reuses, and the check ID journal events correlate on.
+// wholeLive is set when the check searches all of view.live() as one
+// group, whose root the view may hold (preparedView.liveRoot).
 type checkEnv struct {
-	view    preparedView
-	mon     *Monitor
-	table   *verdictTable
-	epoch   uint64
-	plan    *query.Plan
-	checkID uint64
+	view      preparedView
+	mon       *Monitor
+	table     *verdictTable
+	epoch     uint64
+	plan      *query.Plan
+	checkID   uint64
+	wholeLive bool
 }
 
 // buildGraph builds a component's fd graph from the view's conflict

@@ -74,6 +74,33 @@ func (ws *WorldStack) Rebase(d *DB, base []int) (*relation.Overlay, []int) {
 	return ws.world, ws.included
 }
 
+// Root is a frozen root world: the getMaximal fixpoint over a base
+// subset and the transactions it included. It is built once and never
+// modified, so any number of concurrent searches may evaluate on its
+// world (the world's indexes build lazily under their relations'
+// locks). A search that walks below it rebases its own WorldStack on
+// the same base, whose fixpoint runs the same rounds and so puts every
+// tuple at the same position.
+type Root struct {
+	world    *relation.Overlay
+	included []int
+}
+
+// NewRoot runs the fixpoint over base — the same rounds Rebase runs —
+// and freezes the result.
+func NewRoot(d *DB, base []int) *Root {
+	r := &Root{world: relation.NewOverlay(d.State)}
+	_, r.included = d.appendFixpoint(r.world, append([]int(nil), base...), nil)
+	return r
+}
+
+// World returns the root's world. Callers must not modify it.
+func (r *Root) World() *relation.Overlay { return r.world }
+
+// Included returns the included transaction indexes in inclusion
+// order. Callers must not modify it.
+func (r *Root) Included() []int { return r.included }
+
 // Push extends the world with the transaction at index ti, running the
 // fixpoint until no further transaction (ti or a previously deferred
 // one it unblocks) can be appended. It returns the new world and

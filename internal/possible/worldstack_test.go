@@ -179,3 +179,39 @@ func TestWorldStackRebaseReuse(t *testing.T) {
 		t.Error("Rebase onto a different database reused the old overlay")
 	}
 }
+
+// TestNewRootMatchesRebase: a frozen Root holds exactly the world a
+// WorldStack rebased on the same base holds — every tuple at the same
+// scan position, the same included order — so a search may evaluate
+// on the root and later rebase its own stack, and the window floors
+// it reads off the stack describe the world it evaluated.
+func TestNewRootMatchesRebase(t *testing.T) {
+	ordered := func(world *relation.Overlay, included []int) string {
+		var b []string
+		for _, name := range world.Names() {
+			var rows []string
+			world.Scan(name, func(t value.Tuple) bool {
+				rows = append(rows, fmt.Sprint(t))
+				return true
+			})
+			b = append(b, fmt.Sprintf("%s:%v", name, rows))
+		}
+		return fmt.Sprintf("world=%v included=%v", b, included)
+	}
+	var ws possible.WorldStack
+	for seed := int64(0); seed < 120; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		d := randomChainDB(r)
+		var base []int
+		for i := range d.Pending {
+			if r.Intn(2) == 0 {
+				base = append(base, i)
+			}
+		}
+		root := possible.NewRoot(d, base)
+		w, inc := ws.Rebase(d, base)
+		if got, want := ordered(root.World(), root.Included()), ordered(w, inc); got != want {
+			t.Fatalf("seed %d: NewRoot\n got %s\nwant %s", seed, got, want)
+		}
+	}
+}
