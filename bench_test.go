@@ -542,19 +542,23 @@ func TestMempoolSweepFlatGuard(t *testing.T) {
 	}
 }
 
-// fig6aAllocBaselines are the allocs/op of the Fig6a satisfied-query
-// checks on a database whose prepared view (DESIGN.md §16) the warm-up
-// check built, the highest of three runs. The guard below fails when a
-// change regresses any family by more than 20% — allocation counts on
-// the serial path are near-deterministic, so this is a tight,
-// timing-free CI tripwire for the per-world hot loop and for a check
-// that stops reusing the prepared view (the counts were 176–346
-// before it, when every check rebuilt the union).
+// fig6aAllocBaselines are the allocs/op of Fig6a checks on a database
+// whose prepared view (DESIGN.md §16) the warm-up check built, the
+// highest of three runs: the satisfied NaiveDCSat cells, and two
+// violated OptDCSat cells, which search the query's ind-q split. The
+// guard below fails when a change regresses any family by more than
+// 20% — allocation counts on the serial path are near-deterministic,
+// so this is a tight, timing-free CI tripwire for the per-world hot
+// loop and for a check that stops reusing the prepared view (the
+// NaiveDCSat counts were 176–346 before it, when every check rebuilt
+// the union) or the split it memoizes.
 var fig6aAllocBaselines = map[string]float64{
-	"qs":  73,
-	"qp3": 168,
-	"qr3": 280,
-	"qa":  91,
+	"qs":           52,
+	"qp3":          104,
+	"qr3":          164,
+	"qa":           65,
+	"qp3 opt viol": 385,
+	"qr3 opt viol": 433,
 }
 
 // TestFig6aAllocGuard is the allocation-regression guard over
@@ -567,23 +571,27 @@ func TestFig6aAllocGuard(t *testing.T) {
 	}
 	ds := workload.Generate(d200())
 	cases := []struct {
-		label string
-		kind  workload.QueryKind
-		size  int
+		label     string
+		kind      workload.QueryKind
+		size      int
+		satisfied bool
+		algo      core.Algorithm
 	}{
-		{"qs", workload.QuerySimple, 0},
-		{"qp3", workload.QueryPath, 3},
-		{"qr3", workload.QueryStar, 3},
-		{"qa", workload.QueryAggregate, 0},
+		{"qs", workload.QuerySimple, 0, true, core.AlgoNaive},
+		{"qp3", workload.QueryPath, 3, true, core.AlgoNaive},
+		{"qr3", workload.QueryStar, 3, true, core.AlgoNaive},
+		{"qa", workload.QueryAggregate, 0, true, core.AlgoNaive},
+		{"qp3 opt viol", workload.QueryPath, 3, false, core.AlgoOpt},
+		{"qr3 opt viol", workload.QueryStar, 3, false, core.AlgoOpt},
 	}
 	for _, c := range cases {
-		q := ds.MustQuery(c.kind, c.size, true)
+		q := ds.MustQuery(c.kind, c.size, c.satisfied)
 		check := func() {
-			res, err := core.Check(context.Background(), ds.DB, q, core.Options{Algorithm: core.AlgoNaive})
+			res, err := core.Check(context.Background(), ds.DB, q, core.Options{Algorithm: c.algo})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Satisfied {
+			if res.Satisfied != c.satisfied {
 				t.Fatalf("%s: verdict flipped", c.label)
 			}
 		}

@@ -139,6 +139,7 @@ type Stats struct {
 	WorldsIncremental int  // worlds extended in place along the clique tree (delta re-probe)
 	WorldsRebuilt     int  // clique-tree roots evaluated in full (one per walk)
 	RootsShared       int  // of those, evaluated on the prepared view's root (a walk below it still runs the fixpoint)
+	SplitsShared      int  // OptDCSat splits taken from the prepared view, built by an earlier check of the query
 	Duration          time.Duration
 
 	// Cost-attribution counters (obs.CostVector sources): compiled-plan
@@ -177,6 +178,7 @@ func (s *Stats) Merge(o Stats) {
 	s.WorldsIncremental += o.WorldsIncremental
 	s.WorldsRebuilt += o.WorldsRebuilt
 	s.RootsShared += o.RootsShared
+	s.SplitsShared += o.SplitsShared
 	s.Duration += o.Duration
 	s.PlanProbes += o.PlanProbes
 	s.CacheHits += o.CacheHits
@@ -321,7 +323,7 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 	// visible in the journal and the undecided exemplar ring.
 	if err := ctx.Err(); err != nil {
 		res := &Result{Stats: Stats{Algorithm: opts.Algorithm, Duration: time.Since(start)}}
-		finishCheck(checkID, span, start, res, opts, q, attrib, verdictUndecided)
+		finishCheck(checkID, span, start, res, opts, q.String(), attrib, verdictUndecided)
 		return res, undecided(err)
 	}
 	// Rewrite first: constant folding may prove the constraint
@@ -335,15 +337,19 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 			Prechecked: true,
 			Duration:   time.Since(start),
 		}}
-		finishCheck(checkID, span, start, res, opts, q, attrib, verdictSatisfied)
+		finishCheck(checkID, span, start, res, opts, q.String(), attrib, verdictSatisfied)
 		return res, nil
 	}
 	q = simplified
-	// Compile the simplified query once per check; every per-world
-	// evaluation below reuses this plan (schema pointers are shared by
-	// all overlays over d.State, so it stays valid for every world).
+	// The simplified query's canonical text, built once: it keys the
+	// plan cache, the prepared view's split memo and the Monitor's
+	// verdict table, and names the check in its closing bookkeeping.
+	env.qtext = q.String()
+	// Compile the simplified query once per check; every evaluation
+	// below reuses this plan (schema pointers are shared by all
+	// overlays over d.State, so it stays valid for every world).
 	// Compile fails only where CheckAgainst does, which passed above.
-	plan, err := query.PlanFor(q, d.State)
+	plan, err := query.PlanForText(env.qtext, q, d.State)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +396,7 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 			}
 			res.Stats.Algorithm = algo
 			res.Stats.Duration = time.Since(start)
-			finishCheck(checkID, span, start, res, opts, q, attrib, verdictUndecided)
+			finishCheck(checkID, span, start, res, opts, env.qtext, attrib, verdictUndecided)
 			return res, undecided(err)
 		}
 		return nil, err
@@ -398,7 +404,7 @@ func checkContext(ctx context.Context, d *possible.DB, q *query.Query, opts Opti
 	res.Stats.Algorithm = algo
 	res.Stats.Duration = time.Since(start)
 	span.SetAttr("satisfied", res.Satisfied)
-	finishCheck(checkID, span, start, res, opts, q, attrib, verdictOf(res))
+	finishCheck(checkID, span, start, res, opts, env.qtext, attrib, verdictOf(res))
 	return res, nil
 }
 
@@ -414,17 +420,18 @@ type checkAttrib struct {
 // finishCheck is the closing bookkeeping shared by every checkContext
 // exit that produced a Result — decided, rewritten, or cut short:
 // metrics (aggregate and labeled), journal events, exemplar capture,
-// and cost attribution to the check's principal.
-func finishCheck(checkID uint64, span *obs.Span, start time.Time, res *Result, opts Options, q *query.Query, attrib checkAttrib, verdict string) {
+// and cost attribution to the check's principal. qtext is the query's
+// canonical text, post-Simplify when the pipeline got that far.
+func finishCheck(checkID uint64, span *obs.Span, start time.Time, res *Result, opts Options, qtext string, attrib checkAttrib, verdict string) {
 	span.SetAttr("verdict", verdict)
 	if attrib.prin.Query == "" {
 		// Default the principal's query dimension to the check's own
-		// fingerprint (post-Simplify when the pipeline got that far).
-		attrib.prin.Query = q.String()
+		// fingerprint.
+		attrib.prin.Query = qtext
 	}
 	recordCheckMetrics(res, verdict)
 	journalCheckEvents(checkID, attrib.prin.Tenant, res, verdict)
-	offerExemplar(checkID, span, start, res, opts, q, attrib, verdict)
+	offerExemplar(checkID, span, start, res, opts, qtext, attrib, verdict)
 	recordAttribution(attrib, res)
 }
 
@@ -433,8 +440,9 @@ func finishCheck(checkID uint64, span *obs.Span, start time.Time, res *Result, o
 // Section 6.3 pre-check: if q is false over R ∪ ∪T it is false over
 // every possible world (all of which are contained in that union), so
 // the denial constraint is satisfied. Everything it knows about the
-// database beyond d itself — the union, the live slots, the Θ_I seeds
-// and the fd conflicts — it reads from env.view.
+// database beyond d itself — the union, the live slots, the Θ_I seeds,
+// the fd conflicts, the live root and the query's split — it reads
+// from env.view.
 func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Options, optimized bool, env checkEnv) (*Result, error) {
 	if !q.IsMonotonic() {
 		return nil, fmt.Errorf("core: %s requires a monotonic denial constraint; %s is not "+
@@ -448,7 +456,7 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 		preStart := time.Now()
 		union := env.view.union()
 		res.Stats.WorldsEvaluated++
-		hit, err := query.Eval(q, union)
+		hit, err := env.plan.EvalPooled(union)
 		res.Stats.PrecheckDur = time.Since(preStart)
 		preSpan.SetAttr("hit", hit)
 		preSpan.End()
@@ -470,7 +478,7 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	// The current state alone is a possible world; check it explicitly
 	// so component filtering below cannot hide an R-only violation.
 	res.Stats.WorldsEvaluated++
-	if hit, err := query.Eval(q, d.State); err != nil {
+	if hit, err := env.plan.EvalPooled(d.State); err != nil {
 		return nil, err
 	} else if hit {
 		res.Satisfied = false
@@ -501,16 +509,21 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 		return res, err
 	}
 	var (
-		split  *indQSplit
+		split  *querySplit
 		groups [][]int
 	)
 	if optimized && q.IsConnected() {
 		_, splitSpan := obs.Start(ctx, "component_split")
 		splitStart := time.Now()
-		split = newIndQSplit(d, live, q, env.view.seeds())
+		var shared bool
+		split, shared = env.view.split(q, env.qtext)
+		if shared {
+			res.Stats.SplitsShared++
+		}
 		groups = split.direct
 		res.Stats.ClosureDur = time.Since(splitStart)
 		splitSpan.SetAttr("components", len(groups))
+		splitSpan.SetAttr("shared", shared)
 		splitSpan.End()
 	} else {
 		groups = [][]int{live}
@@ -560,13 +573,14 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	// A violation in a direct group is final. "Satisfied" is final only
 	// once the state-bridge closure has merged no direct groups, or the
 	// coarse groups it merged have been searched too.
-	if o == nil && split != nil && split.needsBridge() {
+	if o == nil && split != nil && split.needsBridge {
 		_, bridgeSpan := obs.Start(ctx, "state_bridge_closure")
 		bridgeStart := time.Now()
-		merged, overflow := split.bridge()
+		merged, overflow, shared := split.bridge(d, live, q, env.view.seeds())
 		res.Stats.ClosureDur += time.Since(bridgeStart)
 		bridgeSpan.SetAttr("merged", len(merged))
 		bridgeSpan.SetAttr("overflow", overflow)
+		bridgeSpan.SetAttr("shared", shared)
 		bridgeSpan.End()
 		res.Stats.Components += len(merged)
 		if len(merged) > 0 {

@@ -12,6 +12,7 @@ package core
 import (
 	"bytes"
 	"sort"
+	"sync"
 
 	"blockchaindb/internal/graph"
 	"blockchaindb/internal/possible"
@@ -328,6 +329,46 @@ func newIndQSplit(d *possible.DB, subset []int, q *query.Query, seedGroups [][]i
 	}
 	s.direct = s.groups(nil)
 	return s
+}
+
+// querySplit is what a check keeps of an indQSplit: its direct groups
+// and, once a check first needs it, the state-bridge outcome. A dbView
+// memoizes one per query for its database version and shares it with
+// every check of that query, so it holds int data only, never the
+// split's string-keyed buckets. A monitorView builds one per check and
+// keeps the indQSplit in full for that check's bridge.
+type querySplit struct {
+	direct      [][]int // global pending slots, each sorted, ordered by first member
+	needsBridge bool    // indQSplit.needsBridge
+
+	bridgeOnce sync.Once
+	full       *indQSplit // the split the groups came from; nil on a memoized split
+	merged     [][]int
+	overflow   bool
+}
+
+// newQuerySplit keeps split's direct groups.
+func newQuerySplit(split *indQSplit) *querySplit {
+	return &querySplit{direct: split.direct, needsBridge: split.needsBridge()}
+}
+
+// bridge returns the state-bridge closure's outcome (indQSplit.bridge),
+// computed by the first call; shared reports that an earlier call did.
+// The closure extends its split's union-find, so a memoized split, which
+// keeps none, runs it on a private rebuild of the direct phase over d,
+// live, q and seeds, the inputs the groups came from.
+func (s *querySplit) bridge(d *possible.DB, live []int, q *query.Query, seeds [][]int) (merged [][]int, overflow, shared bool) {
+	shared = true
+	s.bridgeOnce.Do(func() {
+		shared = false
+		full := s.full
+		if full == nil {
+			full = newIndQSplit(d, live, q, seeds)
+		}
+		s.merged, s.overflow = full.bridge()
+		s.full = nil
+	})
+	return s.merged, s.overflow, shared
 }
 
 // thetaISeeds is the from-scratch Θ_I pass: the connected components

@@ -169,7 +169,7 @@ func journalCheckEvents(checkID uint64, tenant string, res *Result, verdict stri
 // offerExemplar submits the check to the slow/undecided exemplar store:
 // identity, options, verdict, per-stage breakdown, witness summary, and
 // the rendered span tree when the check ran under a trace.
-func offerExemplar(checkID uint64, span *obs.Span, start time.Time, res *Result, opts Options, q fmt.Stringer, attrib checkAttrib, verdict string) {
+func offerExemplar(checkID uint64, span *obs.Span, start time.Time, res *Result, opts Options, qtext string, attrib checkAttrib, verdict string) {
 	st := &res.Stats
 	// Cheap pre-test: most checks are faster than the slow-list floor
 	// and not undecided, so skip building the exemplar at all.
@@ -182,7 +182,7 @@ func offerExemplar(checkID uint64, span *obs.Span, start time.Time, res *Result,
 	}
 	ex := obs.Exemplar{
 		TraceID:   checkID,
-		Name:      q.String(),
+		Name:      qtext,
 		Start:     start,
 		Duration:  int64(st.Duration),
 		Verdict:   verdict,

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"blockchaindb/internal/possible"
+	"blockchaindb/internal/query"
 	"blockchaindb/internal/relation"
 )
 
@@ -13,8 +14,8 @@ import (
 // database version and kept on the possible.DB; Monitor.Check gets a
 // monitorView over the structures the Monitor maintains under its
 // mutations. Either way the check reads the database's union, liveness,
-// Θ_I partition, fd conflicts and live root only through this
-// interface.
+// Θ_I partition, fd conflicts, live root and OptDCSat splits only
+// through this interface.
 type preparedView interface {
 	// union returns R ∪ ∪T, which contains every possible world. It is
 	// shared by concurrent checks and must not be modified.
@@ -35,7 +36,18 @@ type preparedView interface {
 	// fd-conflict with no other live member. built reports whether this
 	// call built it. A view that keeps no root returns nil.
 	liveRoot() (root *possible.Root, built bool)
+	// split returns OptDCSat's ind-q split of live() for the simplified
+	// query q, whose canonical text is qtext. shared reports whether an
+	// earlier check built it. The split is structure only: no part of
+	// it evaluates q.
+	split(q *query.Query, qtext string) (s *querySplit, shared bool)
 }
+
+// splitMemoCap bounds a dbView's memoized splits; at the cap the whole
+// memo is dropped, as the plan cache does (query.PlanFor): a database
+// is checked against a handful of standing queries, and a dropped split
+// costs one rebuild.
+const splitMemoCap = 256
 
 // dbView is the stateless Check's prepared view. It is built from a
 // snapshot of one database version (possible.DB.Prepared) and fills
@@ -43,7 +55,8 @@ type preparedView interface {
 // it inside the stage the part replaces: the union in the precheck,
 // liveness in the live filter, the seeds in the component split, the
 // conflicts in the fd-graph build, the live root in the world
-// evaluation. Concurrent checks build each part once.
+// evaluation, a query's split in the component split. Concurrent checks
+// build each part once.
 type dbView struct {
 	d *possible.DB // the snapshot the view is prepared from
 
@@ -54,6 +67,16 @@ type dbView struct {
 	seedGroups [][]int
 	adj        [][]int // pending slot -> its fd-conflicting slots
 	root       *possible.Root
+
+	splitMu sync.Mutex
+	splits  map[string]*splitEntry // simplified query text -> its split; at most splitMemoCap
+}
+
+// splitEntry is one memoized split, built once under its own Once so
+// that concurrent first checks of a query build it once.
+type splitEntry struct {
+	once sync.Once
+	s    *querySplit
 }
 
 // prepare returns d's prepared view for its current version, creating
@@ -100,12 +123,34 @@ func (v *dbView) liveRoot() (root *possible.Root, built bool) {
 	return v.root, built
 }
 
+// split memoizes each query's direct split for the view's database
+// version: a query checked again on an unchanged database finds its
+// groups without re-bucketing the live set.
+func (v *dbView) split(q *query.Query, qtext string) (*querySplit, bool) {
+	v.splitMu.Lock()
+	e := v.splits[qtext]
+	if e == nil {
+		if v.splits == nil || len(v.splits) >= splitMemoCap {
+			v.splits = make(map[string]*splitEntry)
+		}
+		e = &splitEntry{}
+		v.splits[qtext] = e
+	}
+	v.splitMu.Unlock()
+	shared := true
+	e.once.Do(func() {
+		shared = false
+		e.s = newQuerySplit(newIndQSplit(v.d, v.live(), q, v.seeds()))
+	})
+	return e.s, shared
+}
+
 // monitorView is Monitor.Check's prepared view. It lives for one check,
 // under the Monitor's read lock: the union is the Monitor's own (kept
 // across checks, see Monitor.unionOverlay), liveness comes from m.live,
 // the seeds from the maintained partition m.parts, and the conflicts
 // from the maintained adjacency m.conflictAdj. live and seeds are
-// filled on first use; it keeps no live root.
+// filled on first use; it keeps no live root and memoizes no split.
 type monitorView struct {
 	m *Monitor
 
@@ -157,6 +202,16 @@ func (v *monitorView) seeds() [][]int {
 // liveRoot keeps no root: a Monitor's pending set changes between
 // checks, so its searches build their roots as they go.
 func (v *monitorView) liveRoot() (*possible.Root, bool) { return nil, false }
+
+// split builds afresh on every call, for the same reason: the pending
+// set a split was built over may be gone by the next check. The split
+// is the check's own, so it keeps its indQSplit for the bridge.
+func (v *monitorView) split(q *query.Query, _ string) (*querySplit, bool) {
+	full := newIndQSplit(v.m.db, v.live(), q, v.seeds())
+	s := newQuerySplit(full)
+	s.full = full
+	return s, false
+}
 
 func (v *monitorView) appendConflicts(dst []int, slot int) []int {
 	m := v.m

@@ -9,6 +9,7 @@ import (
 
 	"blockchaindb/internal/constraint"
 	"blockchaindb/internal/fixture"
+	"blockchaindb/internal/obs"
 	"blockchaindb/internal/possible"
 	"blockchaindb/internal/query"
 	"blockchaindb/internal/relation"
@@ -22,13 +23,18 @@ func buildFDGraph(d *possible.DB, subset []int) *fdCompGraph {
 	return newFDCompGraph(subset, fdConflictPairs(d, subset))
 }
 
-// preparedQueries exercise every part of a prepared view: the precheck
-// reads the union, the violated ones go on to the live slots, the
-// seeds and the conflicts, and AlgoFDOnly reads the live slots.
-var preparedQueries = []struct {
+// preparedQuery is one check checkSame runs.
+type preparedQuery struct {
 	src  string
 	opts Options
-}{
+}
+
+// preparedQueries exercise every part of a prepared view: the precheck
+// reads the union, the violated ones go on to the live slots, the
+// seeds and the conflicts, and AlgoFDOnly reads the live slots. The
+// OptDCSat join query runs twice, so the second check shares the split
+// the first built.
+var preparedQueries = []preparedQuery{
 	{"q() :- TxOut(t, s, 'U0Pk', a)", Options{Algorithm: AlgoOpt}},
 	{"q() :- TxOut(t, s, 'U2Pk', a)", Options{Algorithm: AlgoNaive}},
 	{"q() :- TxIn(pt, ps, 'U1Pk', a, nt, sig), TxOut(nt, s2, pk2, a2)", Options{Algorithm: AlgoOpt}},
@@ -43,12 +49,12 @@ var preparedQueries = []struct {
 // checkSame runs the queries on d and on a freshly built database with
 // the same contents, and reports the first disagreement. It returns how
 // many violated checks on d shared the prepared root and found the
-// violation below it.
-func checkSame(t *testing.T, d *possible.DB, step string) (sharedRootDescents int) {
+// violation below it, and how many shared a split.
+func checkSame(t *testing.T, d *possible.DB, queries []preparedQuery, step string) (sharedRootDescents, splitsShared int) {
 	t.Helper()
 	fresh := &possible.DB{State: d.State, Constraints: d.Constraints,
 		Pending: append([]*relation.Transaction(nil), d.Pending...)}
-	for _, pq := range preparedQueries {
+	for _, pq := range queries {
 		q := query.MustParse(pq.src)
 		opts := pq.opts
 		if opts.Algorithm == AlgoFDOnly && d.Constraints.HasINDs() {
@@ -65,6 +71,7 @@ func checkSame(t *testing.T, d *possible.DB, step string) (sharedRootDescents in
 		if !got.Satisfied && got.Stats.RootsShared > 0 && got.Stats.WorldsIncremental > 0 {
 			sharedRootDescents++
 		}
+		splitsShared += got.Stats.SplitsShared
 		if got.Satisfied != want.Satisfied || fmt.Sprint(got.Witness) != fmt.Sprint(want.Witness) ||
 			got.Stats.LivePending != want.Stats.LivePending || got.Stats.Components != want.Stats.Components {
 			t.Fatalf("%s: %s %v on the reused database: satisfied=%v witness=%v live=%d components=%d; "+
@@ -73,7 +80,49 @@ func checkSame(t *testing.T, d *possible.DB, step string) (sharedRootDescents in
 				want.Satisfied, want.Witness, want.Stats.LivePending, want.Stats.Components)
 		}
 	}
-	return sharedRootDescents
+	return sharedRootDescents, splitsShared
+}
+
+// memoizedSplit reports how many splits of q (0 or 1) d's prepared view
+// holds.
+func memoizedSplit(d *possible.DB, q *query.Query) int {
+	sq, _ := query.Simplify(q)
+	v := prepare(d)
+	v.splitMu.Lock()
+	defer v.splitMu.Unlock()
+	if v.splits[sq.String()] == nil {
+		return 0
+	}
+	return 1
+}
+
+// bridgeDB is a Proposition 2 database over A(x), B(x, y), C(y) and a
+// keyed K(k, v), with B(1,2) committed. TA = {A(1), K(1,1)} and
+// TB = {C(2), K(1,2)} share no θ edge, so prop2Query splits them apart,
+// but the committed B(1,2) bridges them; their K tuples fd-conflict, so
+// the merged group holds no violation either and the query is
+// satisfied. TC = {A(5)} has no partner.
+func bridgeDB() *possible.DB {
+	s := relation.NewState()
+	s.MustAddSchema(relation.NewSchema("A", "x:int"))
+	s.MustAddSchema(relation.NewSchema("B", "x:int", "y:int"))
+	s.MustAddSchema(relation.NewSchema("C", "y:int"))
+	s.MustAddSchema(relation.NewSchema("K", "k:int", "v:int"))
+	s.MustInsert("B", value.NewTuple(value.Int(1), value.Int(2)))
+	cons := constraint.MustNewSet(s, []*constraint.FD{constraint.NewKey(s.Schema("K"), "k")}, nil)
+	return possible.MustNew(s, cons, []*relation.Transaction{
+		oneTuple("TA", "A", 1).Add("K", value.NewTuple(value.Int(1), value.Int(1))),
+		oneTuple("TB", "C", 2).Add("K", value.NewTuple(value.Int(1), value.Int(2))),
+		oneTuple("TC", "A", 5),
+	})
+}
+
+// bridgeQueries run on bridgeDB: each check needs the state-bridge
+// closure, and every check after the first shares the split.
+var bridgeQueries = []preparedQuery{
+	{prop2Query, Options{Algorithm: AlgoOpt}},
+	{prop2Query, Options{Algorithm: AlgoOpt, Workers: 2}},
+	{prop2Query, Options{Algorithm: AlgoOpt, DisablePrecheck: true}},
 }
 
 // TestPreparedViewFollowsInPlaceEdits reuses one database across the
@@ -83,7 +132,13 @@ func checkSame(t *testing.T, d *possible.DB, step string) (sharedRootDescents in
 // unchanged, and growing the state — and requires every check to
 // answer as a check on a freshly built database does.
 func TestPreparedViewFollowsInPlaceEdits(t *testing.T) {
-	descents := 0
+	descents, shared := 0, 0
+	check := func(d *possible.DB, queries []preparedQuery, step string) {
+		t.Helper()
+		n, m := checkSame(t, d, queries, step)
+		descents += n
+		shared += m
+	}
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		d := bitcoinLikeDB(r)
@@ -104,15 +159,15 @@ func TestPreparedViewFollowsInPlaceEdits(t *testing.T) {
 			return norm
 		}
 		for _, db := range []*possible.DB{d, noIND} {
-			descents += checkSame(t, db, fmt.Sprintf("seed %d initial", seed))
+			check(db, preparedQueries, fmt.Sprintf("seed %d initial", seed))
 			db.Pending = append(db.Pending, newTx(db), newTx(db))
-			descents += checkSame(t, db, fmt.Sprintf("seed %d append", seed))
+			check(db, preparedQueries, fmt.Sprintf("seed %d append", seed))
 			db.Pending[r.Intn(len(db.Pending))] = newTx(db)
-			descents += checkSame(t, db, fmt.Sprintf("seed %d replace", seed))
+			check(db, preparedQueries, fmt.Sprintf("seed %d replace", seed))
 			i, last := r.Intn(len(db.Pending)), len(db.Pending)-1
 			db.Pending[i] = db.Pending[last]
 			db.Pending = append(db.Pending[:last], newTx(db))
-			descents += checkSame(t, db, fmt.Sprintf("seed %d swap-remove and append", seed))
+			check(db, preparedQueries, fmt.Sprintf("seed %d swap-remove and append", seed))
 			// Commit an output under the key of a pending transaction's
 			// output, to another payee: the pending transaction dies.
 			out := db.Pending[r.Intn(len(db.Pending))].Tuples("TxOut")[0]
@@ -120,11 +175,47 @@ func TestPreparedViewFollowsInPlaceEdits(t *testing.T) {
 				Add("TxOut", value.NewTuple(out[0], out[1], value.Str("ZPk"), out[3]))); err != nil {
 				t.Fatal(err)
 			}
-			descents += checkSame(t, db, fmt.Sprintf("seed %d state insert", seed))
+			check(db, preparedQueries, fmt.Sprintf("seed %d state insert", seed))
 		}
 	}
 	if descents == 0 {
 		t.Error("no violated check descended from a shared root")
+	}
+	if shared == 0 {
+		t.Error("no check shared a split")
+	}
+	// The bridged split: each edit changes the direct groups or what the
+	// state bridges, so a split kept across an edit answers wrongly.
+	d := bridgeDB()
+	steps := []struct {
+		name      string
+		edit      func()
+		satisfied bool
+	}{
+		{"initial", func() {}, true},
+		{"append", func() { d.Pending = append(d.Pending, oneTuple("TD", "C", 6)) }, true},
+		{"state insert", func() { d.State.MustInsert("B", value.NewTuple(value.Int(5), value.Int(6))) }, false},
+		{"replace a slot", func() { d.Pending[2] = oneTuple("TE", "A", 7) }, true},
+		{"swap-remove and append", func() {
+			last := len(d.Pending) - 1
+			d.Pending[1] = d.Pending[last]
+			d.Pending = append(d.Pending[:last], oneTuple("TF", "C", 2))
+		}, false},
+	}
+	shared = 0
+	for _, st := range steps {
+		st.edit()
+		check(d, bridgeQueries, "bridge "+st.name)
+		res, err := Check(context.Background(), d, query.MustParse(prop2Query), Options{Algorithm: AlgoOpt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Satisfied != st.satisfied {
+			t.Errorf("bridge %s: satisfied=%v, want %v", st.name, res.Satisfied, st.satisfied)
+		}
+	}
+	if want := len(steps) * len(bridgeQueries); shared != want-len(steps) {
+		t.Errorf("bridged checks shared %d splits, want %d (all but the first check of each step)", shared, want-len(steps))
 	}
 }
 
@@ -260,37 +351,100 @@ func TestPreparedLiveRoot(t *testing.T) {
 	}
 }
 
-// TestPreparedRootConcurrent: eight goroutines run the first checks on
-// one fresh database at once — NaiveDCSat and OptDCSat, serial and
+// TestPreparedSplitMemo: OptDCSat takes a query's split from the
+// prepared view, built by the first check and shared by the next, and
+// the view builds it afresh after each in-place edit. Past
+// splitMemoCap queries the memo starts over. The precheck is off, so
+// every check reaches the split.
+func TestPreparedSplitMemo(t *testing.T) {
+	d := bridgeDB()
+	q := query.MustParse(prop2Query)
+	opts := Options{Algorithm: AlgoOpt, DisablePrecheck: true}
+	check := func(step string, wantShared int) {
+		t.Helper()
+		res, err := Check(context.Background(), d, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.SplitsShared != wantShared {
+			t.Errorf("%s: SplitsShared = %d, want %d", step, res.Stats.SplitsShared, wantShared)
+		}
+	}
+	check("first check", 0)
+	check("second check", 1)
+	edits := []struct {
+		name string
+		edit func()
+	}{
+		{"append to Pending", func() { d.Pending = append(d.Pending, oneTuple("TD", "C", 6)) }},
+		{"replace a slot", func() { d.Pending[0] = oneTuple("TE", "A", 6) }},
+		{"insert into the state", func() { d.State.MustInsert("B", value.NewTuple(value.Int(5), value.Int(6))) }},
+	}
+	for _, e := range edits {
+		e.edit()
+		check("first check after "+e.name, 0)
+		check("second check after "+e.name, 1)
+	}
+	v := prepare(d)
+	for i := 0; len(v.splits) < splitMemoCap; i++ {
+		if _, shared := v.split(query.MustParse(fmt.Sprintf("q() :- A(%d)", i)), fmt.Sprint(i)); shared {
+			t.Fatalf("split %d: shared on its first call", i)
+		}
+	}
+	check("check on a full memo", 1)
+	v.split(query.MustParse("q() :- A(-1)"), "-1")
+	if len(v.splits) != 1 {
+		t.Errorf("the memo holds %d splits past its bound, want 1", len(v.splits))
+	}
+	check("check after the memo started over", 0)
+}
+
+// bridgeRootQuery is connected, has three atoms, and never holds on
+// rootDB, whose transactions the query's θ edges split into several
+// groups: with the precheck off, every OptDCSat check of it searches
+// the direct groups and then runs the state-bridge closure.
+const bridgeRootQuery = "q() :- TxIn(pt, ps, pk, a, nt, sig), TxOut(nt, s2, pk2, a2), TxIn(nt, s2, pk2, a2, nt2, 'NoSig')"
+
+// TestPreparedRootConcurrent: twelve goroutines run the first checks
+// on one fresh database at once — NaiveDCSat and OptDCSat, serial and
 // branch-parallel — so lazy index builds on the shared root race with
-// each other while other searches walk below it. Every result must
-// match a serial check on a database of its own, and the root must be
-// built once.
+// each other while other searches walk below it, and the first checks
+// of a query race to build its split and its state bridge. Every
+// result must match a serial check on a database of its own, and the
+// root, each split and the bridge must be built once.
 func TestPreparedRootConcurrent(t *testing.T) {
 	d := rootDB()
 	type run struct {
 		q    *query.Query
 		opts Options
 	}
-	runs := make([]run, 8)
+	runs := make([]run, 12)
 	for g := range runs {
 		runs[g] = run{query.MustParse(rootQueries[g%2]), Options{Algorithm: AlgoNaive, Workers: 1 + g/2%2}}
-		if g >= 4 {
+		switch {
+		case g >= 8:
+			runs[g].q = query.MustParse(bridgeRootQuery)
+			runs[g].opts = Options{Algorithm: AlgoOpt, DisablePrecheck: true, Workers: 1 + g%2}
+		case g >= 4:
 			runs[g].opts.Algorithm = AlgoOpt
 		}
 	}
 	results := make([]*Result, len(runs))
+	bridges := make([]*obs.Span, len(runs))
 	var wg sync.WaitGroup
 	for g := range runs {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := Check(context.Background(), d, runs[g].q, runs[g].opts)
+			ctx, root := obs.StartTrace(context.Background(), "test")
+			res, err := Check(ctx, d, runs[g].q, runs[g].opts)
+			root.End()
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			results[g] = res
+			bridges[g] = findSpan(root, "state_bridge_closure")
 		}(g)
 	}
 	wg.Wait()
@@ -298,6 +452,9 @@ func TestPreparedRootConcurrent(t *testing.T) {
 		return
 	}
 	builds, descents := 0, 0
+	splits := map[string]int{} // query -> checks that reached its split
+	splitsShared := map[string]int{}
+	bridgesBuilt := 0
 	for g, res := range results {
 		want, err := Check(context.Background(), rootDB(), runs[g].q, runs[g].opts)
 		if err != nil {
@@ -309,14 +466,33 @@ func TestPreparedRootConcurrent(t *testing.T) {
 		}
 		if runs[g].opts.Algorithm == AlgoNaive || runs[g].q.IsAggregate() {
 			builds += res.Stats.WorldsRebuilt - res.Stats.RootsShared
+		} else {
+			splits[runs[g].q.String()]++
+			splitsShared[runs[g].q.String()] += res.Stats.SplitsShared
 		}
 		descents += res.Stats.WorldsIncremental
+		if g >= 8 {
+			if bridges[g] == nil {
+				t.Fatalf("goroutine %d (%s): no state_bridge_closure span", g, runs[g].q)
+			}
+			if shared, _ := bridges[g].Attr("shared"); shared == false {
+				bridgesBuilt++
+			}
+		}
 	}
 	if builds != 1 {
 		t.Errorf("the live root was built %d times, want 1", builds)
 	}
 	if descents == 0 {
 		t.Error("no search descended from the root")
+	}
+	for src, n := range splits {
+		if built := n - splitsShared[src]; built != 1 {
+			t.Errorf("%s: the split was built %d times by %d checks, want 1", src, built, n)
+		}
+	}
+	if bridgesBuilt != 1 {
+		t.Errorf("the state bridge was built %d times, want 1", bridgesBuilt)
 	}
 }
 

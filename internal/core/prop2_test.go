@@ -219,12 +219,37 @@ func optAgrees(d *possible.DB, q *query.Query, route string, check func(workers 
 // prop2Routes checks OptDCSat on one prop2DB instance through
 // stateless Check, then through a warm Monitor after random
 // AddPending/DropPending calls, each against exhaustive enumeration.
+// Each query first runs cold on a database of its own; the stateless
+// checks that follow run warm, on a split an earlier check built, and
+// must return the cold verdict and witness.
 func prop2Routes(pick func(n int) int) error {
 	d := prop2DB(pick)
 	for _, src := range prop2Queries {
 		q := query.MustParse(src)
-		err := optAgrees(d, q, "check", func(workers int) (*Result, error) {
-			return Check(context.Background(), d, q, Options{Algorithm: AlgoOpt, Workers: workers})
+		opts := Options{Algorithm: AlgoOpt}
+		own := &possible.DB{State: d.State, Constraints: d.Constraints, Pending: d.Pending}
+		cold, err := Check(context.Background(), own, q, opts)
+		if err != nil {
+			return err
+		}
+		if _, err := Check(context.Background(), d, q, opts); err != nil {
+			return err
+		}
+		err = optAgrees(d, q, "check", func(workers int) (*Result, error) {
+			opts.Workers = workers
+			warm, err := Check(context.Background(), d, q, opts)
+			if err != nil {
+				return nil, err
+			}
+			if warm.Stats.SplitsShared != memoizedSplit(d, q) {
+				return nil, fmt.Errorf("warm workers=%d %s: %d splits shared, %d memoized",
+					workers, q, warm.Stats.SplitsShared, memoizedSplit(d, q))
+			}
+			if warm.Satisfied != cold.Satisfied || !reflect.DeepEqual(warm.Witness, cold.Witness) {
+				return nil, fmt.Errorf("warm workers=%d %s: satisfied=%v witness %v, cold %v %v",
+					workers, q, warm.Satisfied, warm.Witness, cold.Satisfied, cold.Witness)
+			}
+			return warm, nil
 		})
 		if err != nil {
 			return err

@@ -210,15 +210,17 @@ func (t *verdictTable) size() int {
 // prepared view, the Monitor (nil for the stateless Check), the split
 // table and this check's epoch in it (nil and zero when the check
 // reuses no verdicts), the compiled query plan every per-world
-// evaluation reuses, and the check ID journal events correlate on.
-// wholeLive is set when the check searches all of view.live() as one
-// group, whose root the view may hold (preparedView.liveRoot).
+// evaluation reuses with the simplified query's canonical text, and
+// the check ID journal events correlate on. wholeLive is set when the
+// check searches all of view.live() as one group, whose root the view
+// may hold (preparedView.liveRoot).
 type checkEnv struct {
 	view      preparedView
 	mon       *Monitor
 	table     *verdictTable
 	epoch     uint64
 	plan      *query.Plan
+	qtext     string
 	checkID   uint64
 	wholeLive bool
 }
@@ -232,15 +234,15 @@ func (env checkEnv) buildGraph(comp []int, stats *Stats) *fdCompGraph {
 	return cg
 }
 
-// useTable picks the check's verdict table once q is simplified. It
-// reports whether the table is a sweep table; a split table also hands
-// the check its epoch.
+// useTable picks the check's verdict table once q is simplified and
+// env.qtext set. It reports whether the table is a sweep table; a split
+// table also hands the check its epoch.
 func (env *checkEnv) useTable(q *query.Query, opts Options, optimized bool) (sweep bool) {
 	if env.mon == nil || env.mon.store == nil {
 		return false
 	}
 	sweep = optimized && sweepEligible(q)
-	env.table = env.mon.store.table(tableKey{qfp: q.String(), sweep: sweep, noCover: opts.DisableCoverFilter})
+	env.table = env.mon.store.table(tableKey{qfp: env.qtext, sweep: sweep, noCover: opts.DisableCoverFilter})
 	if !sweep {
 		env.epoch = env.table.epoch.Add(1)
 	}

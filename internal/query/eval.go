@@ -39,6 +39,12 @@ func Eval(q *Query, v relation.View) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return p.EvalPooled(v)
+}
+
+// EvalPooled is Plan.Eval on a scratch from the package pool, for a
+// caller that holds a compiled plan but no Scratch of its own.
+func (p *Plan) EvalPooled(v relation.View) (bool, error) {
 	sc := scratchPool.Get().(*Scratch)
 	ok, err := p.Eval(v, sc)
 	scratchPool.Put(sc)

@@ -764,7 +764,12 @@ const planCacheCap = 256
 // cached by the query's canonical text and the view's schemas. Safe
 // for concurrent use.
 func PlanFor(q *Query, v relation.View) (*Plan, error) {
-	key := q.String()
+	return PlanForText(q.String(), q, v)
+}
+
+// PlanForText is PlanFor for a caller that already holds the query's
+// canonical text, key = q.String().
+func PlanForText(key string, q *Query, v relation.View) (*Plan, error) {
 	planCache.RLock()
 	for _, p := range planCache.m[key] {
 		if p.valid(v) {
