@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 
 	"blockchaindb/internal/relation"
@@ -78,30 +79,101 @@ func hasReferenced(v relation.View, rel string, cols []int, key string) bool {
 // used by the can-append relation: only the new tuples are examined —
 // an FD can newly break only on a pair involving a new tuple, and an
 // IND can newly break only for a new left-hand-side tuple (adding
-// tuples never invalidates existing references).
+// tuples never invalidates existing references). It runs both halves
+// of the test, the FD half (fdFault) and the IND half (indFault), and
+// allocates nothing whatever the outcome.
 func (c *Set) CanAppend(world relation.View, tx *relation.Transaction) bool {
-	return c.AppendViolation(world, tx) == nil
+	return c.appendFault(world, tx, true).cons == nil
 }
 
-// appendScratch holds the reusable key-encoding buffers of one
-// AppendViolation call. The getMaximal fixpoint calls CanAppend once
-// per (world, transaction) step — thousands of times per DCSat check,
-// concurrently from parallel workers — so the buffers live in a pool
-// rather than on the (shared) Set.
-type appendScratch struct {
-	lbuf, rbuf, ebuf, kbuf []byte
+// CanAppendIND is the IND half of CanAppend alone: whether every
+// referencing tuple of tx finds its referenced tuple in world ∪ tx. It
+// decides appendability only where the FD half is known to pass — for
+// a world and a transaction that are fd-compatible, as inside a clique
+// of the fd-transaction graph. Like CanAppend, it allocates nothing.
+func (c *Set) CanAppendIND(world relation.View, tx *relation.Transaction) bool {
+	return c.appendFault(world, tx, false).cons == nil
 }
-
-var appendScratchPool = sync.Pool{New: func() any { return new(appendScratch) }}
 
 // AppendViolation is CanAppend returning the first violation found (nil
-// when the transaction can be appended). All key projections go through
-// pooled buffers and the views' LookupKey form, so the no-violation
-// path — the common case inside the getMaximal fixpoint — allocates
-// nothing.
+// when the transaction can be appended): an FD violation if there is
+// one, else an IND violation.
 func (c *Set) AppendViolation(world relation.View, tx *relation.Transaction) error {
+	return c.appendFault(world, tx, true).err()
+}
+
+// appendScratch holds the reusable state of one append test. The
+// getMaximal fixpoint runs the test once per (world, transaction) step
+// — thousands of times per DCSat check, concurrently from parallel
+// workers — so it lives in a pool rather than on the (shared) Set. The
+// probe callbacks are bound to the scratch once, when the pool makes
+// it, and read their inputs and write their results through it, so a
+// probe allocates no closure and moves no variable to the heap.
+type appendScratch struct {
+	lbuf, rbuf, ebuf, kbuf []byte
+
+	rhs   []int       // fdProbe: the FD's right-hand columns, whose projection of the new tuple is in rbuf
+	clash value.Tuple // fdProbe: the first existing tuple with another right-hand side
+	hit   bool        // anyProbe: some tuple matched
+
+	fdProbe, anyProbe func(value.Tuple) bool
+}
+
+var appendScratchPool = sync.Pool{New: func() any {
+	sc := new(appendScratch)
+	sc.fdProbe = sc.probeRHS
+	sc.anyProbe = sc.probeAny
+	return sc
+}}
+
+func (sc *appendScratch) probeRHS(existing value.Tuple) bool {
+	sc.ebuf = existing.AppendProjectKey(sc.ebuf[:0], sc.rhs)
+	if !bytes.Equal(sc.ebuf, sc.rbuf) {
+		sc.clash = existing
+		return false
+	}
+	return true
+}
+
+func (sc *appendScratch) probeAny(value.Tuple) bool {
+	sc.hit = true
+	return false
+}
+
+// fault is a violation found by the append test, held by value so that
+// the boolean forms allocate nothing when they refuse an append. The
+// zero fault (nil cons) means none.
+type fault struct {
+	cons         fmt.Stringer
+	rel          string
+	tuple, other value.Tuple
+}
+
+func (f fault) err() error {
+	if f.cons == nil {
+		return nil
+	}
+	return &Violation{Constraint: f.cons, Rel: f.rel, Tuple: f.tuple, Other: f.other}
+}
+
+// appendFault runs the append test of tx against world — the FD half
+// when fds is set, then the IND half — and returns the first violation
+// found.
+func (c *Set) appendFault(world relation.View, tx *relation.Transaction, fds bool) fault {
 	sc := appendScratchPool.Get().(*appendScratch)
 	defer appendScratchPool.Put(sc)
+	if fds {
+		if f := c.fdFault(sc, world, tx); f.cons != nil {
+			return f
+		}
+	}
+	return c.indFault(sc, world, tx)
+}
+
+// fdFault is the FD half of the append test: the first pair of tuples
+// of world ∪ tx, at least one of them new, that breaks a functional
+// dependency.
+func (c *Set) fdFault(sc *appendScratch, world relation.View, tx *relation.Transaction) fault {
 	for i, fd := range c.FDs {
 		lhs, rhs := c.fdCols[i].lhs, c.fdCols[i].rhs
 		news := tx.Tuples(fd.Rel)
@@ -121,54 +193,45 @@ func (c *Set) AppendViolation(world relation.View, tx *relation.Transaction) err
 				}
 				sc.ebuf = news[b].AppendProjectKey(sc.ebuf[:0], rhs)
 				if !bytes.Equal(sc.ebuf, sc.rbuf) {
-					return &Violation{Constraint: fd, Rel: fd.Rel, Tuple: news[a], Other: news[b]}
+					return fault{fd, fd.Rel, news[a], news[b]}
 				}
 			}
 		}
 		// New tuple against the existing world.
+		sc.rhs = rhs
 		for _, t := range news {
 			sc.lbuf = t.AppendProjectKey(sc.lbuf[:0], lhs)
 			sc.rbuf = t.AppendProjectKey(sc.rbuf[:0], rhs)
-			var clash value.Tuple
-			world.LookupKey(fd.Rel, lhs, sc.lbuf, func(existing value.Tuple) bool {
-				sc.ebuf = existing.AppendProjectKey(sc.ebuf[:0], rhs)
-				if !bytes.Equal(sc.ebuf, sc.rbuf) {
-					clash = existing
-					return false
-				}
-				return true
-			})
-			if clash != nil {
-				return &Violation{Constraint: fd, Rel: fd.Rel, Tuple: t, Other: clash}
+			world.LookupKey(fd.Rel, lhs, sc.lbuf, sc.fdProbe)
+			if clash := sc.clash; clash != nil {
+				sc.clash = nil // the pooled scratch keeps no tuple alive
+				return fault{fd, fd.Rel, t, clash}
 			}
 		}
 	}
+	return fault{}
+}
+
+// indFault is the IND half of the append test: the first new tuple
+// whose referenced tuple is in neither world nor tx.
+func (c *Set) indFault(sc *appendScratch, world relation.View, tx *relation.Transaction) fault {
 	for i, ind := range c.INDs {
 		cols, refCols := c.indCols[i].cols, c.indCols[i].refCols
 		for _, t := range tx.Tuples(ind.Rel) {
 			sc.kbuf = t.AppendProjectKey(sc.kbuf[:0], cols)
-			if hasReferencedKey(world, ind.RefRel, refCols, sc.kbuf) {
+			sc.hit = false
+			world.LookupKey(ind.RefRel, refCols, sc.kbuf, sc.anyProbe)
+			if sc.hit {
 				continue
 			}
 			// The reference may be provided by the transaction itself.
 			if txProvidesKey(tx, ind.RefRel, refCols, sc.kbuf, &sc.ebuf) {
 				continue
 			}
-			return &Violation{Constraint: ind, Rel: ind.Rel, Tuple: t}
+			return fault{ind, ind.Rel, t, nil}
 		}
 	}
-	return nil
-}
-
-// hasReferencedKey is hasReferenced with the projection key as a byte
-// buffer, probing through the view's non-allocating LookupKey form.
-func hasReferencedKey(v relation.View, rel string, cols []int, key []byte) bool {
-	found := false
-	v.LookupKey(rel, cols, key, func(value.Tuple) bool {
-		found = true
-		return false
-	})
-	return found
+	return fault{}
 }
 
 func txProvidesKey(tx *relation.Transaction, rel string, cols []int, key []byte, buf *[]byte) bool {

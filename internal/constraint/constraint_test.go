@@ -233,6 +233,68 @@ func TestCanAppendOnOverlay(t *testing.T) {
 	}
 }
 
+// fdHalfAdmits runs the FD half of the append test alone.
+func fdHalfAdmits(set *Set, world relation.View, tx *relation.Transaction) bool {
+	sc := appendScratchPool.Get().(*appendScratch)
+	defer appendScratchPool.Put(sc)
+	return set.fdFault(sc, world, tx).cons == nil
+}
+
+// TestAppendTestDoesNotAllocate: on an overlay whose indexes are
+// built, both halves of the append test allocate nothing, whether they
+// admit the transaction or refuse it — the getMaximal fixpoint runs
+// them thousands of times per check, and refusals are common there.
+func TestAppendTestDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	s := bitcoinState()
+	set := bitcoinConstraints(s)
+	s.MustInsert("TxOut", out(1, 1, "A", 1))
+	s.MustInsert("TxOut", out(1, 2, "A", 1))
+	t1 := relation.NewTransaction("T1").
+		Add("TxIn", in(1, 1, "A", 1, 2, "ASig")).
+		Add("TxOut", out(2, 1, "B", 1)).
+		Add("TxOut", out(2, 2, "B", 1))
+	world := relation.NewOverlay(s, t1)
+	chained := relation.NewTransaction("chained").
+		Add("TxIn", in(2, 1, "B", 1, 3, "BSig")).
+		Add("TxOut", out(3, 1, "C", 1))
+	doubleSpend := relation.NewTransaction("double").
+		Add("TxIn", in(1, 1, "A", 1, 4, "ASig")).
+		Add("TxOut", out(4, 1, "D", 1))
+	dangling := relation.NewTransaction("dangling").
+		Add("TxIn", in(9, 1, "Z", 1, 5, "ZSig")).
+		Add("TxOut", out(5, 1, "E", 1))
+	cases := []struct {
+		name string
+		tx   *relation.Transaction
+		run  func(relation.View, *relation.Transaction) bool
+		want bool
+	}{
+		{"CanAppend admits", chained, set.CanAppend, true},
+		{"CanAppend refuses on the FD half", doubleSpend, set.CanAppend, false},
+		{"CanAppend refuses on the IND half", dangling, set.CanAppend, false},
+		{"CanAppendIND admits", chained, set.CanAppendIND, true},
+		{"CanAppendIND admits an FD clash", doubleSpend, set.CanAppendIND, true},
+		{"CanAppendIND refuses", dangling, set.CanAppendIND, false},
+		{"the FD half admits", chained, func(w relation.View, tx *relation.Transaction) bool {
+			return fdHalfAdmits(set, w, tx)
+		}, true},
+		{"the FD half refuses", doubleSpend, func(w relation.View, tx *relation.Transaction) bool {
+			return fdHalfAdmits(set, w, tx)
+		}, false},
+	}
+	for _, c := range cases {
+		if got := c.run(world, c.tx); got != c.want { // also builds the probed indexes
+			t.Fatalf("%s: got %v, want %v", c.name, got, c.want)
+		}
+		if a := testing.AllocsPerRun(100, func() { c.run(world, c.tx) }); a != 0 {
+			t.Errorf("%s: %v allocs, want 0", c.name, a)
+		}
+	}
+}
+
 func TestFDCompatible(t *testing.T) {
 	s := bitcoinState()
 	set := bitcoinConstraints(s)
@@ -295,8 +357,9 @@ func randomTx(r *rand.Rand, name string) *relation.Transaction {
 }
 
 // TestCanAppendAgainstFullCheck cross-validates the incremental
-// AppendViolation against a from-scratch Check of the materialized
-// union, over random states and transactions.
+// append test against a from-scratch Check of the materialized union,
+// over random states and transactions: CanAppend against the whole
+// set, and each half against its own dependencies.
 func TestCanAppendAgainstFullCheck(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -326,7 +389,17 @@ func TestCanAppendAgainstFullCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		reference := set.Check(full) == nil
-		return incremental == reference
+		// Each half against its own dependencies checked from scratch.
+		fdOK, indOK := true, true
+		for i, fd := range set.FDs {
+			fdOK = fdOK && set.checkFD(full, i, fd) == nil
+		}
+		for i, ind := range set.INDs {
+			indOK = indOK && set.checkIND(full, i, ind) == nil
+		}
+		return incremental == reference &&
+			fdHalfAdmits(set, s, tx) == fdOK &&
+			set.CanAppendIND(s, tx) == indOK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

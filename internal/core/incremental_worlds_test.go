@@ -257,29 +257,153 @@ func (o *walkOracle) Leaf(r []int) bool { return o.nodes < o.maxPer }
 // TestIncrementalWalkAgainstScratch runs the walk oracle over the fd
 // graphs of random databases: every node of the pivoted recursion —
 // descending and after re-ascending — holds exactly the from-scratch
-// maximal world of its path.
+// maximal world of its path, and so does the prepared live root
+// (possible.NewRoot). The stack and the root test only the inclusion
+// dependencies, while GetMaximalScratch runs the full CanAppend, so the
+// oracle also pins what makes the FD half redundant in the walk: the
+// live filter and the conflict adjacency, read through both prepared
+// views. walkDB's databases hold dead transactions and fd conflicts
+// among transactions that would otherwise be universal, so a dead
+// transaction let through, or a conflict pair left out, shows as a
+// world with an FD violation the from-scratch fixpoint refuses.
 func TestIncrementalWalkAgainstScratch(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		d := bitcoinLikeDB(r)
-		live := liveTransactions(d)
-		if len(live) == 0 {
-			continue
-		}
-		cg := buildFDGraph(d, live)
-		var ws possible.WorldStack
-		ws.Rebase(d, cg.universal)
-		o := &walkOracle{t: t, d: d, cg: cg, ws: &ws, maxPer: 200}
-		if !o.check() {
-			t.Fatalf("seed %d: root world diverged", seed)
-		}
-		if err := graph.MaximalCliquesVisit(context.Background(), cg.g, o); err != nil {
-			t.Fatal(err)
-		}
-		if t.Failed() {
-			t.Fatalf("seed %d: walk oracle failed", seed)
+	gens := []struct {
+		name  string
+		seeds int64
+		gen   func(*rand.Rand) *possible.DB
+	}{
+		{"bitcoinLike", 150, bitcoinLikeDB},
+		{"walk", 300, walkDB},
+	}
+	for _, g := range gens {
+		for seed := int64(0); seed < g.seeds; seed++ {
+			d := g.gen(rand.New(rand.NewSource(seed)))
+			m := NewMonitor(d)
+			m.mu.RLock()
+			views := []struct {
+				name string
+				d    *possible.DB
+				view preparedView
+			}{
+				{"db", d, prepare(d)},
+				{"monitor", m.db, &monitorView{m: m}},
+			}
+			for _, v := range views {
+				where := fmt.Sprintf("%s seed %d, %s view", g.name, seed, v.name)
+				live := v.view.live()
+				if len(live) == 0 {
+					continue
+				}
+				cg := fdGraphFromConflicts(live, v.view)
+				var ws possible.WorldStack
+				ws.Rebase(v.d, cg.universal)
+				o := &walkOracle{t: t, d: v.d, cg: cg, ws: &ws, maxPer: 200}
+				if !o.check() {
+					t.Fatalf("%s: root world diverged", where)
+				}
+				if root, _ := v.view.liveRoot(); root != nil {
+					refWorld, refInc := v.d.GetMaximalScratch(&o.ms, cg.universal)
+					if got, want := fmt.Sprint(sortedCopy(root.Included())), fmt.Sprint(sortedCopy(refInc)); got != want {
+						t.Fatalf("%s: NewRoot included %s, from-scratch %s", where, got, want)
+					}
+					if worldKey(root.World()) != worldKey(refWorld) {
+						t.Fatalf("%s: NewRoot world diverged from from-scratch fixpoint", where)
+					}
+				}
+				if err := graph.MaximalCliquesVisit(context.Background(), cg.g, o); err != nil {
+					t.Fatal(err)
+				}
+				if t.Failed() {
+					t.Fatalf("%s: walk oracle failed", where)
+				}
+			}
+			m.mu.RUnlock()
 		}
 	}
+}
+
+// walkDB builds a random Bitcoin-shaped database for the walk oracle.
+// R holds the outputs of transaction 1, the first of them already
+// spent. The pending set mixes:
+//
+//   - spends of R's unspent outputs, and double-spending pairs of them,
+//     whose only fd conflict is with each other;
+//   - spends of pending outputs, and collectors spending two at once
+//     (ind chains, so pushes unblock deferred transactions);
+//   - dead transactions that spend R's spent output, restate one of
+//     R's outputs with another owner, or create one output twice with
+//     two owners. Each satisfies its inclusion dependencies, so only
+//     the FD half of CanAppend refuses it.
+func walkDB(r *rand.Rand) *possible.DB {
+	s := fixture.BitcoinSchema()
+	cons := fixture.BitcoinConstraints(s)
+	nOuts := 3 + r.Intn(3)
+	owner := func(ser int64) string { return fmt.Sprintf("U%dPk", (ser-1)%3) }
+	for ser := int64(1); ser <= int64(nOuts); ser++ {
+		s.MustInsert("TxOut", fixture.TxOut(1, ser, owner(ser), 1))
+	}
+	s.MustInsert("TxIn", fixture.TxIn(1, 1, owner(1), 1, 90, owner(1)+"Sig"))
+	s.MustInsert("TxOut", fixture.TxOut(90, 1, "U1Pk", 1))
+
+	type coin struct {
+		tx, ser int64
+		pk      string
+	}
+	var (
+		pending []*relation.Transaction
+		outs    []coin // the pending transactions' outputs
+		nextTx  = int64(2)
+	)
+	// spend adds a live transaction spending the coins into one output.
+	spend := func(ins ...coin) {
+		id := nextTx
+		nextTx++
+		tx := relation.NewTransaction(fmt.Sprintf("T%d", len(pending)+1))
+		for _, c := range ins {
+			tx.Add("TxIn", fixture.TxIn(c.tx, c.ser, c.pk, 1, id, c.pk+"Sig"))
+		}
+		pk := fmt.Sprintf("U%dPk", r.Intn(4))
+		tx.Add("TxOut", fixture.TxOut(id, 1, pk, 1))
+		outs = append(outs, coin{id, 1, pk})
+		pending = append(pending, tx)
+	}
+	unspent := func() coin {
+		ser := 2 + int64(r.Intn(nOuts-1))
+		return coin{1, ser, owner(ser)}
+	}
+	for i, n := 0, 3+r.Intn(5); i < n; i++ {
+		switch k := r.Intn(10); {
+		case k < 3:
+			spend(unspent())
+		case k < 5: // a double-spending pair
+			c := unspent()
+			spend(c)
+			spend(c)
+		case k < 7 && len(outs) > 0: // a chained spend
+			spend(outs[r.Intn(len(outs))])
+		case k < 8 && len(outs) > 1: // a collector
+			a := r.Intn(len(outs))
+			b := (a + 1 + r.Intn(len(outs)-1)) % len(outs)
+			spend(outs[a], outs[b])
+		default: // a dead transaction
+			id := nextTx
+			nextTx++
+			tx := relation.NewTransaction(fmt.Sprintf("D%d", len(pending)+1))
+			switch r.Intn(3) {
+			case 0: // spends R's spent output again
+				tx.Add("TxIn", fixture.TxIn(1, 1, owner(1), 1, id, owner(1)+"Sig"))
+				tx.Add("TxOut", fixture.TxOut(id, 1, "U3Pk", 1))
+			case 1: // restates one of R's outputs
+				tx.Add("TxOut", fixture.TxOut(1, 1+int64(r.Intn(nOuts)), "U3Pk", 1))
+			default: // inconsistent with itself
+				tx.Add("TxOut", fixture.TxOut(id, 1, "U3Pk", 1))
+				tx.Add("TxOut", fixture.TxOut(id, 1, "U0Pk", 1))
+			}
+			pending = append(pending, tx)
+		}
+	}
+	r.Shuffle(len(pending), func(i, j int) { pending[i], pending[j] = pending[j], pending[i] })
+	return possible.MustNew(s, cons, pending)
 }
 
 // FuzzIncrementalWorld fuzzes the same property from a raw seed: a

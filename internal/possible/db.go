@@ -119,18 +119,20 @@ func (d *DB) CanAppend(world relation.View, tx *relation.Transaction) bool {
 }
 
 // appendFixpoint is the one getMaximal fixpoint in the package:
-// repeatedly append any remaining transaction whose addition preserves
-// the constraints, until a round makes no progress or nothing remains.
-// It mutates world in place, compacts remaining, appends to included,
-// and returns both updated slices. GetMaximal, GetMaximalScratch, and
-// WorldStack all run their rounds through it.
-func (d *DB) appendFixpoint(world *relation.Overlay, remaining, included []int) ([]int, []int) {
+// repeatedly append any remaining transaction that canAppend admits to
+// the world, until a round makes no progress or nothing remains. It
+// mutates world in place, compacts remaining, appends to included, and
+// returns both updated slices. GetMaximal, GetMaximalScratch,
+// IsReachable and IsPossibleWorld pass the full test, CanAppend;
+// WorldStack and NewRoot pass its IND half, CanAppendIND, which their
+// callers' fd-compatible subsets make equivalent (see WorldStack).
+func (d *DB) appendFixpoint(world *relation.Overlay, remaining, included []int, canAppend func(relation.View, *relation.Transaction) bool) ([]int, []int) {
 	for {
 		progressed := false
 		next := remaining[:0]
 		for _, ti := range remaining {
 			tx := d.Pending[ti]
-			if d.Constraints.CanAppend(world, tx) {
+			if canAppend(world, tx) {
 				world.Add(tx)
 				included = append(included, ti)
 				progressed = true
@@ -188,7 +190,7 @@ func (d *DB) GetMaximalScratch(ms *MaximalScratch, subset []int) (*relation.Over
 	world := ms.world
 	remaining := append(ms.remaining[:0], subset...)
 	included := ms.included[:0]
-	ms.remaining, ms.included = d.appendFixpoint(world, remaining, included)
+	ms.remaining, ms.included = d.appendFixpoint(world, remaining, included, d.Constraints.CanAppend)
 	return world, ms.included
 }
 
@@ -198,25 +200,8 @@ func (d *DB) GetMaximalScratch(ms *MaximalScratch, subset []int) (*relation.Over
 // of all of them appends successfully.
 func (d *DB) IsReachable(subset []int) bool {
 	world := relation.NewOverlay(d.State)
-	remaining := append([]int(nil), subset...)
-	for len(remaining) > 0 {
-		progressed := false
-		next := remaining[:0]
-		for _, ti := range remaining {
-			tx := d.Pending[ti]
-			if d.Constraints.CanAppend(world, tx) {
-				world.Add(tx)
-				progressed = true
-			} else {
-				next = append(next, ti)
-			}
-		}
-		remaining = next
-		if !progressed {
-			return false
-		}
-	}
-	return true
+	remaining, _ := d.appendFixpoint(world, append([]int(nil), subset...), nil, d.Constraints.CanAppend)
+	return len(remaining) == 0
 }
 
 // IsPossibleWorld decides in PTIME whether an arbitrary set of
@@ -250,22 +235,7 @@ func (d *DB) IsPossibleWorld(target *relation.State) bool {
 			candidates = append(candidates, i)
 		}
 	}
-	for {
-		progressed := false
-		next := candidates[:0]
-		for _, ti := range candidates {
-			if d.Constraints.CanAppend(world, d.Pending[ti]) {
-				world.Add(d.Pending[ti])
-				progressed = true
-			} else {
-				next = append(next, ti)
-			}
-		}
-		candidates = next
-		if !progressed {
-			break
-		}
-	}
+	d.appendFixpoint(world, candidates, nil, d.Constraints.CanAppend)
 	// The closure must cover R' exactly; ⊆ holds by construction.
 	for _, name := range target.Names() {
 		covered := target.Scan(name, func(t value.Tuple) bool {

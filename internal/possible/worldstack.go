@@ -10,22 +10,31 @@ import "blockchaindb/internal/relation"
 // a cost proportional to the tuples the matching Push added, never to
 // the world's size.
 //
-// The incremental discipline is sound for the clique search because a
-// pushed set that is pairwise fd-consistent (universal members plus a
-// clique prefix of G^fd_T) makes CanAppend monotone: an fd obstacle
-// would require a conflicting pair inside the set, which clique edges
-// exclude, so appendability is governed by inclusion-dependency
-// references that only grow with the world. The greedy closure of a
-// monotone step function has a unique fixpoint, so pushing the members
-// one at a time lands on the same included set and world tuples as
-// GetMaximalScratch over the whole subset at once — the property the
+// Precondition: the base and every push are live (fd-consistent
+// internally and with R) and pairwise fd-compatible — the universal
+// members of an fd-graph component plus a clique prefix of G^fd_T,
+// which is what the clique search pushes. Under it no append can break
+// a functional dependency: R ⊨ I, the live filter rules out a clash
+// with R or inside a transaction, and clique edges and universal
+// membership rule out a clash between two pushed transactions. So the
+// stack's fixpoint tests only the inclusion dependencies
+// (constraint.Set.CanAppendIND), and the FD half of CanAppend, whose
+// outcome the fd graph has already decided, is never probed.
+//
+// The incremental discipline is sound for the same reason: with the
+// FDs out of play, appendability is governed by inclusion-dependency
+// references that only grow with the world, so the step function is
+// monotone. The greedy closure of a monotone step function has a
+// unique fixpoint, so pushing the members one at a time lands on the
+// same included set and world tuples as GetMaximalScratch — which runs
+// the full CanAppend — over the whole subset at once: the property the
 // walk oracle in internal/core (TestIncrementalWalkAgainstScratch)
-// pins at every tree node. (The
-// *inclusion order* may legitimately differ from the one-shot
-// fixpoint's: a transaction deferred by the one-shot rounds can be
-// absorbed immediately when pushed later.) For arbitrary push sets the
-// stack still tracks exactly what a from-scratch replay of the same
-// push sequence would produce.
+// pins at every tree node. (The *inclusion order* may legitimately
+// differ from the one-shot fixpoint's: a transaction deferred by the
+// one-shot rounds can be absorbed immediately when pushed later.) For
+// push sets outside the precondition the stack still tracks exactly
+// what a from-scratch replay of the same push sequence would produce,
+// but its world need not satisfy the FDs.
 //
 // A WorldStack must not be shared between concurrent searches; each
 // branch-parallel worker owns one.
@@ -54,7 +63,8 @@ type wsFrame struct {
 
 // Rebase resets the stack onto the database with a fresh root frame:
 // the fixpoint world over the given transaction subset (the clique
-// search's universal members). The overlay is reset, not rebuilt, when
+// search's universal members, which must meet the WorldStack
+// precondition). The overlay is reset, not rebuilt, when
 // the database is unchanged. It returns the root world and the
 // included indexes; both alias the stack and are valid until the next
 // stack operation.
@@ -70,7 +80,7 @@ func (ws *WorldStack) Rebase(d *DB, base []int) (*relation.Overlay, []int) {
 	ws.savedRem = ws.savedRem[:0]
 	ws.included = ws.included[:0]
 	ws.remaining = append(ws.remaining[:0], base...)
-	ws.remaining, ws.included = d.appendFixpoint(ws.world, ws.remaining, ws.included)
+	ws.remaining, ws.included = d.appendFixpoint(ws.world, ws.remaining, ws.included, d.Constraints.CanAppendIND)
 	return ws.world, ws.included
 }
 
@@ -86,11 +96,13 @@ type Root struct {
 	included []int
 }
 
-// NewRoot runs the fixpoint over base — the same rounds Rebase runs —
-// and freezes the result.
+// NewRoot runs the fixpoint over base — the same rounds, with the same
+// IND-only test, that Rebase runs — and freezes the result. base must
+// meet the WorldStack precondition: live and pairwise fd-compatible,
+// as the universal members of the live set's fd graph are.
 func NewRoot(d *DB, base []int) *Root {
 	r := &Root{world: relation.NewOverlay(d.State)}
-	_, r.included = d.appendFixpoint(r.world, append([]int(nil), base...), nil)
+	_, r.included = d.appendFixpoint(r.world, append([]int(nil), base...), nil, d.Constraints.CanAppendIND)
 	return r
 }
 
@@ -103,7 +115,8 @@ func (r *Root) Included() []int { return r.included }
 
 // Push extends the world with the transaction at index ti, running the
 // fixpoint until no further transaction (ti or a previously deferred
-// one it unblocks) can be appended. It returns the new world and
+// one it unblocks) can be appended. ti must be live and fd-compatible
+// with the base and every transaction already pushed. It returns the new world and
 // included set, aliasing the stack. Every Push must eventually be
 // matched by a Pop (or discarded wholesale by Rebase).
 func (ws *WorldStack) Push(ti int) (*relation.Overlay, []int) {
@@ -116,7 +129,7 @@ func (ws *WorldStack) Push(ti int) (*relation.Overlay, []int) {
 	ws.marks = ws.world.AppendMark(ws.marks)
 	ws.savedRem = append(ws.savedRem, ws.remaining...)
 	ws.remaining = append(ws.remaining, ti)
-	ws.remaining, ws.included = ws.d.appendFixpoint(ws.world, ws.remaining, ws.included)
+	ws.remaining, ws.included = ws.d.appendFixpoint(ws.world, ws.remaining, ws.included, ws.d.Constraints.CanAppendIND)
 	return ws.world, ws.included
 }
 

@@ -355,7 +355,7 @@ func TestConcurrentProbesBuildIndexesOnce(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if len(r.idxList) != len(fuzzCols) {
-		t.Errorf("%d indexes built, want %d", len(r.idxList), len(fuzzCols))
+	if len(r.indexes()) != len(fuzzCols) {
+		t.Errorf("%d indexes built, want %d", len(r.indexes()), len(fuzzCols))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"blockchaindb/internal/value"
 )
@@ -34,8 +35,12 @@ type Relation struct {
 	keyPrev []int32
 	keyBuf  []byte // reusable key-encoding buffer for Insert and Truncate
 	projBuf []byte // reusable projection-key buffer for index postings
-	idxMu   sync.RWMutex
-	idxList []*hashIndex // a relation accumulates a handful at most
+	// idxList is the relation's index list, copy-on-write: readers
+	// load it without a lock, and a build publishes a new list holding
+	// the old indexes and the new one. idxMu serialises the builds. A
+	// relation accumulates a handful of indexes at most.
+	idxMu   sync.Mutex
+	idxList atomic.Pointer[[]*hashIndex]
 }
 
 // hashIndex indexes a relation on a column set. Each bucket holds the
@@ -140,7 +145,7 @@ func (r *Relation) insertNormalized(t value.Tuple, key []byte) bool {
 	r.tuples = append(r.tuples, t)
 	r.keyPrev = append(r.keyPrev, newest)
 	r.byKey[h] = pos
-	for _, idx := range r.idxList {
+	for _, idx := range r.indexes() {
 		r.projBuf = t.AppendProjectKey(r.projBuf[:0], idx.cols)
 		idx.add(r.tuples, pos, r.projBuf)
 	}
@@ -203,24 +208,32 @@ func (r *Relation) ContainsKey(key []byte) bool {
 	return false
 }
 
+// indexes returns the relation's built indexes. The list is never
+// modified once published; a build publishes a new one.
+func (r *Relation) indexes() []*hashIndex {
+	if p := r.idxList.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // indexFor returns the hash index over the column set, building it once
-// on first use. Resolving an existing index is a linear scan over the
-// handful of indexes a relation ever accumulates, so — unlike a
-// signature-string map — the hot-path probe allocates nothing.
-// Concurrent callers are safe: the first one in builds, the rest wait
-// and reuse it.
+// on first use. Resolving an existing index is one atomic load and a
+// linear scan over the handful of indexes a relation ever accumulates:
+// it takes no lock, so concurrent probes of one relation do not contend
+// on a shared counter, and — unlike a signature-string map — it
+// allocates nothing. Concurrent callers are safe: the first one in
+// builds under idxMu, the rest wait for it and reuse its index.
 func (r *Relation) indexFor(cols []int) *hashIndex {
-	r.idxMu.RLock()
-	for _, idx := range r.idxList {
+	for _, idx := range r.indexes() {
 		if slices.Equal(idx.cols, cols) {
-			r.idxMu.RUnlock()
 			return idx
 		}
 	}
-	r.idxMu.RUnlock()
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
-	for _, idx := range r.idxList {
+	old := r.indexes()
+	for _, idx := range old {
 		if slices.Equal(idx.cols, cols) {
 			return idx
 		}
@@ -236,7 +249,8 @@ func (r *Relation) indexFor(cols []int) *hashIndex {
 		buf = t.AppendProjectKey(buf[:0], idx.cols)
 		idx.add(r.tuples, int32(pos), buf)
 	}
-	r.idxList = append(r.idxList, idx)
+	list := append(slices.Clip(old), idx) // a new array: readers may hold old
+	r.idxList.Store(&list)
 	return idx
 }
 
@@ -328,8 +342,7 @@ func (r *Relation) Truncate(n int) {
 	if n >= len(r.tuples) {
 		return
 	}
-	r.idxMu.Lock()
-	for _, idx := range r.idxList {
+	for _, idx := range r.indexes() {
 		for pos := len(r.tuples) - 1; pos >= n; pos-- {
 			r.keyBuf = r.tuples[pos].AppendProjectKey(r.keyBuf[:0], idx.cols)
 			h := hashKey(r.keyBuf)
@@ -342,7 +355,6 @@ func (r *Relation) Truncate(n int) {
 		}
 		idx.next, idx.prev = idx.next[:n], idx.prev[:n]
 	}
-	r.idxMu.Unlock()
 	for pos := len(r.tuples) - 1; pos >= n; pos-- {
 		r.keyBuf = r.tuples[pos].AppendKey(r.keyBuf[:0])
 		h := hashKey(r.keyBuf)
@@ -363,12 +375,10 @@ func (r *Relation) Truncate(n int) {
 func (r *Relation) Clear() {
 	r.tuples, r.keyPrev = r.tuples[:0], r.keyPrev[:0]
 	clear(r.byKey)
-	r.idxMu.Lock()
-	for _, idx := range r.idxList {
+	for _, idx := range r.indexes() {
 		clear(idx.buckets)
 		idx.next, idx.prev = idx.next[:0], idx.prev[:0]
 	}
-	r.idxMu.Unlock()
 }
 
 // Clone returns a deep-enough copy: tuples are shared (they are
