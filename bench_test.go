@@ -12,7 +12,9 @@ package blockchaindb_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -334,6 +336,30 @@ func BenchmarkIncrementalWarmRecheck(b *testing.B) {
 	})
 }
 
+// medianDuration returns the median of the samples, sorting them in
+// place. The timing guards below compare medians or minimums, never
+// single runs.
+func medianDuration(samples []time.Duration) time.Duration {
+	slices.Sort(samples)
+	return samples[len(samples)/2]
+}
+
+// fastest calls each run n times, passing the round number, and returns
+// the least duration each reported. The runs interleave round by round,
+// so load drift hits them alike.
+func fastest(n int, runs ...func(round int) time.Duration) []time.Duration {
+	best := make([]time.Duration, len(runs))
+	for k := range best {
+		best[k] = math.MaxInt64
+	}
+	for i := 0; i < n; i++ {
+		for k, run := range runs {
+			best[k] = min(best[k], run(i))
+		}
+	}
+	return best
+}
+
 // TestIncrementalWarmColdGuard is the CI bench-smoke guard: it fails
 // when a warm single-delta recheck is not meaningfully faster than a
 // cold check (warm * 1.5 must beat cold). Gated behind BENCH_GUARD so
@@ -348,39 +374,33 @@ func TestIncrementalWarmColdGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ {
+	cold := fastest(3, func(int) time.Duration {
 		start := time.Now()
 		if _, err := core.Check(context.Background(), ds.DB, q, opts); err != nil {
 			t.Fatal(err)
 		}
-		if d := time.Since(start); d < cold {
-			cold = d
-		}
-	}
+		return time.Since(start)
+	})[0]
 
 	mon := core.NewMonitor(ds.DB)
 	if _, err := mon.Check(context.Background(), q, opts); err != nil {
 		t.Fatal(err)
 	}
-	warm := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ {
+	warm := fastest(3, func(i int) time.Duration {
 		start := time.Now()
 		res, err := warmRecheck(mon, q, opts, i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := time.Since(start)
-		if d < warm {
-			warm = d
-		}
 		if res.Satisfied != coldRes.Satisfied {
 			t.Fatalf("warm verdict %v, cold %v", res.Satisfied, coldRes.Satisfied)
 		}
 		if res.Stats.ComponentsCached == 0 {
 			t.Fatal("warm recheck replayed no cached components")
 		}
-	}
+		return d
+	})[0]
 	t.Logf("cold=%v warm=%v speedup=%.1fx", cold, warm, float64(cold)/float64(warm))
 	if warm*3/2 > cold {
 		t.Fatalf("warm recheck %v is within 1.5x of cold %v — cache regressed", warm, cold)
@@ -485,14 +505,6 @@ func TestMempoolSweepFlatGuard(t *testing.T) {
 	}
 	q, opts := mempoolSweepQuery()
 	const samples = 31
-	median := func(ds []time.Duration) time.Duration {
-		for i := 1; i < len(ds); i++ {
-			for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-				ds[j], ds[j-1] = ds[j-1], ds[j]
-			}
-		}
-		return ds[len(ds)/2]
-	}
 	measure := func(n int) (check, mutate time.Duration) {
 		mon := mempoolMonitor(t, n)
 		if _, err := mon.Check(context.Background(), q, opts); err != nil {
@@ -525,7 +537,7 @@ func TestMempoolSweepFlatGuard(t *testing.T) {
 			checks = append(checks, t2.Sub(t1))
 			mutates = append(mutates, t1.Sub(t0)+t3.Sub(t2))
 		}
-		return median(checks), median(mutates)
+		return medianDuration(checks), medianDuration(mutates)
 	}
 	smallCheck, smallMutate := measure(1_000)
 	bigCheck, bigMutate := measure(100_000)
@@ -736,15 +748,10 @@ func TestFig6bIncrementalGuard(t *testing.T) {
 	// Warm up both paths (plan compile, lazy index builds).
 	timed(incremental)
 	timed(scratch)
-	inc, base := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for i := 0; i < 3; i++ {
-		if d := timed(incremental); d < inc {
-			inc = d
-		}
-		if d := timed(scratch); d < base {
-			base = d
-		}
-	}
+	best := fastest(3,
+		func(int) time.Duration { return timed(incremental) },
+		func(int) time.Duration { return timed(scratch) })
+	inc, base := best[0], best[1]
 	t.Logf("incremental=%v from-scratch=%v speedup=%.1fx", inc, base, float64(base)/float64(inc))
 	if inc*3/2 > base {
 		t.Fatalf("incremental %v is within 1.5x of from-scratch %v — the delta path regressed", inc, base)
@@ -834,15 +841,7 @@ func TestAttributionOverheadGuard(t *testing.T) {
 		on = append(on, check(i, true))
 		off = append(off, check(i, false))
 	}
-	median := func(ds []time.Duration) time.Duration {
-		for i := 1; i < len(ds); i++ {
-			for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-				ds[j], ds[j-1] = ds[j-1], ds[j]
-			}
-		}
-		return ds[len(ds)/2]
-	}
-	mOn, mOff := median(on), median(off)
+	mOn, mOff := medianDuration(on), medianDuration(off)
 	t.Logf("attribution on=%v off=%v overhead=%.2f%%", mOn, mOff,
 		100*(float64(mOn)/float64(mOff)-1))
 	if mOn > mOff+mOff/20 && mOn > mOff+200*time.Microsecond {

@@ -275,9 +275,10 @@ func (d *Database) CertainAnswers(ctx context.Context, q *Query) ([]Tuple, error
 }
 
 // PossibleAnswers returns, for a non-Boolean query, the tuples returned
-// in some possible world. Positive conjunctive queries visit only
-// maximal worlds; negation falls back to exhaustive enumeration.
-// Cancelling ctx stops the search with an error wrapping
+// in some possible world. Each candidate t, an answer of the query's
+// positive part over R ∪ ∪T, is decided by one Check of the Boolean
+// query with its head bound to t: t is possible iff that check reports
+// a violation. Cancelling ctx stops the search with an error wrapping
 // core.ErrUndecided.
 func (d *Database) PossibleAnswers(ctx context.Context, q *Query) ([]Tuple, error) {
 	return core.PossibleAnswers(ctx, d.db, q)

@@ -81,6 +81,20 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("dcsat violated output: %s", out)
 	}
 
+	// Answer mode (head variables): certain and possible answers, and
+	// the undecided exit when the timeout expires first.
+	answers := "q(pk) :- TxOut(n, s, pk, a), a > 400"
+	out, code = run(t, dcsat, "-data", data, "-q", answers)
+	if code != 0 {
+		t.Fatalf("dcsat answer mode exit %d: %s", code, out)
+	}
+	if !strings.Contains(out, "certain answers") || !strings.Contains(out, "possible answers") {
+		t.Errorf("dcsat answer mode output: %s", out)
+	}
+	if out, code = run(t, dcsat, "-data", data, "-q", answers, "-timeout", "1ns"); code != 3 {
+		t.Errorf("dcsat answer mode -timeout 1ns exit %d, want 3 (undecided): %s", code, out)
+	}
+
 	// Algorithm selection and error paths.
 	out, code = run(t, dcsat, "-data", data, "-q", "q() :- TxOut(n, s, 'NoSuchPk', a)", "-algo", "naive")
 	if code != 0 {

@@ -87,8 +87,11 @@ func main() {
 		fmt.Print(plan)
 		fmt.Println()
 	}
+	ctx := context.Background()
+	if *tenant != "" {
+		ctx = obs.WithPrincipal(ctx, *tenant, "")
+	}
 	if !q.IsBoolean() {
-		ctx := context.Background()
 		if *timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -133,10 +136,6 @@ func main() {
 		fatal(fmt.Errorf("unknown algorithm %q", *algoName))
 	}
 
-	ctx := context.Background()
-	if *tenant != "" {
-		ctx = obs.WithPrincipal(ctx, *tenant, "")
-	}
 	var root *obs.Span
 	if *trace {
 		ctx, root = obs.StartTrace(ctx, "dcsat")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"blockchaindb/internal/obs"
 	"blockchaindb/internal/possible"
 	"blockchaindb/internal/query"
 	"blockchaindb/internal/relation"
@@ -71,11 +72,14 @@ func CertainAnswers(ctx context.Context, d *possible.DB, q *query.Query) ([]valu
 }
 
 // PossibleAnswers computes the answers the query returns in SOME
-// possible world. For positive conjunctive queries monotonicity lets
-// the search visit only maximal possible worlds (the union over maximal
-// cliques of the fd-transaction graph); queries with negation fall back
-// to exhaustive world enumeration. ctx is polled once per maximal
-// clique or world; cancellation returns an error wrapping ErrUndecided.
+// possible world. Every world lies inside R ∪ ∪T, so the candidates are
+// the answers of q's positive part (q without its negated atoms) over
+// that union. A candidate t is a possible answer iff the Boolean query
+// q_t = q.Bind(t) holds in some world, that is iff D ⊭ ¬q_t: each
+// candidate is one Check, routed as any denial constraint is. Unless
+// ctx already names a principal query, the candidate checks are billed
+// to q's text. A cancelled or expired ctx stops the loop with an error
+// wrapping ErrUndecided.
 func PossibleAnswers(ctx context.Context, d *possible.DB, q *query.Query) ([]value.Tuple, error) {
 	if q.IsBoolean() || q.IsAggregate() {
 		return nil, fmt.Errorf("core: PossibleAnswers requires head variables")
@@ -86,59 +90,34 @@ func PossibleAnswers(ctx context.Context, d *possible.DB, q *query.Query) ([]val
 	if err := ctx.Err(); err != nil {
 		return nil, undecided(err)
 	}
-	union := make(map[string]value.Tuple)
-	collect := func(world relation.View) error {
-		tuples, err := query.EvalTuples(q, world)
-		if err != nil {
-			return err
-		}
-		for _, t := range tuples {
-			union[t.Key()] = t
-		}
-		return nil
+	if p, _ := obs.PrincipalFrom(ctx); p.Query == "" {
+		ctx = obs.WithPrincipal(ctx, p.Tenant, q.String())
 	}
-	if q.IsPositive() {
-		// R itself plus every maximal world.
-		if err := collect(d.State); err != nil {
+	seen := make(map[string]bool)
+	var candidates []value.Tuple
+	err := query.Assignments(q, prepare(d).union(), false, func(b *query.Binding) bool {
+		t := make(value.Tuple, len(q.HeadVars))
+		for i, v := range q.HeadVars {
+			t[i], _ = b.Value(v)
+		}
+		if key := t.Key(); !seen[key] {
+			seen[key] = true
+			candidates = append(candidates, t)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]value.Tuple, 0, len(candidates))
+	for _, t := range candidates {
+		res, err := Check(ctx, d, q.Bind(t), Options{})
+		if err != nil {
 			return nil, err
 		}
-		view := prepare(d)
-		cg := fdGraphFromConflicts(view.live(), view)
-		var evalErr error
-		cg.maximalCliques(func(subset []int) bool {
-			if err := ctx.Err(); err != nil {
-				evalErr = undecided(err)
-				return false
-			}
-			world, _ := d.GetMaximal(subset)
-			if err := collect(world); err != nil {
-				evalErr = err
-				return false
-			}
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
+		if !res.Satisfied {
+			out = append(out, t)
 		}
-	} else {
-		var evalErr error
-		err := d.EnumerateWorldsCtx(ctx, func(_ []int, world *relation.Overlay) bool {
-			if err := collect(world); err != nil {
-				evalErr = err
-				return false
-			}
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
-		}
-		if err != nil {
-			return nil, undecided(err)
-		}
-	}
-	out := make([]value.Tuple, 0, len(union))
-	for _, t := range union {
-		out = append(out, t)
 	}
 	return sortTuples(out, nil)
 }

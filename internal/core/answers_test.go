@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"blockchaindb/internal/fixture"
+	"blockchaindb/internal/obs"
 	"blockchaindb/internal/possible"
 	"blockchaindb/internal/query"
 	"blockchaindb/internal/relation"
@@ -128,41 +129,109 @@ func TestAnswersWithNegation(t *testing.T) {
 	}
 }
 
-// TestPossibleAnswersAgainstEnumeration: the maximal-world shortcut for
-// positive queries agrees with exhaustive union on random databases.
+// TestPossibleAnswersAgainstEnumeration: deciding each candidate
+// answer with Check agrees with the definition, the union of q over
+// every possible world, for a single atom, a join, a constant, a
+// comparison and a negated atom. bitcoinLikeDB routes positive queries
+// to the clique search and negation to the exhaustive checker; walkDB
+// adds dead transactions and inclusion-dependency chains; fdOnlyDB has
+// no inclusion dependencies, so every candidate goes to the fd-only
+// solver.
 func TestPossibleAnswersAgainstEnumeration(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := bitcoinLikeDB(r)
-		q := query.MustParse("q(pk) :- TxOut(t, s, pk, a)")
-		fast, err := PossibleAnswers(context.Background(), d, q)
+	bitcoinQueries := []string{
+		"q(pk) :- TxOut(t, s, pk, a)",
+		"q(pk, pk2) :- TxIn(pt, ps, pk, a, nt, sig), TxOut(nt, s2, pk2, a2)",
+		"q(nt) :- TxIn(pt, ps, 'U1Pk', a, nt, sig)",
+		"q(t, pk) :- TxOut(t, s, pk, a), t >= 3",
+		"q(pk) :- TxIn(pt, ps, pk, a, nt, sig), !TxOut(pt, ps, 'U0Pk', a)",
+	}
+	generators := []struct {
+		name    string
+		db      func(*rand.Rand) *possible.DB
+		queries []string
+	}{
+		{"bitcoinLikeDB", bitcoinLikeDB, bitcoinQueries},
+		{"walkDB", walkDB, bitcoinQueries},
+		{"fdOnlyDB", fdOnlyDB, []string{
+			"q(v) :- R(k, v)",
+			"q(k) :- R(k, v), Trusted(v)",
+			"q(k) :- R(k, 2)",
+			"q(k, v) :- R(k, v), k < v",
+			"q(k) :- R(k, v), !Trusted(v)",
+		}},
+	}
+	for _, g := range generators {
+		t.Run(g.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				d := g.db(rand.New(rand.NewSource(seed)))
+				for _, src := range g.queries {
+					q := query.MustParse(src)
+					got, err := PossibleAnswers(context.Background(), d, q)
+					if err != nil {
+						t.Fatalf("seed %d query %s: %v", seed, src, err)
+					}
+					if want := possibleByEnumeration(t, d, q); !reflect.DeepEqual(tupleStrings(got), want) {
+						t.Logf("seed %d query %s: possible answers %v, enumeration %v", seed, src, tupleStrings(got), want)
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// possibleByEnumeration computes possible answers by definition, in
+// PossibleAnswers' order.
+func possibleByEnumeration(t *testing.T, d *possible.DB, q *query.Query) []string {
+	t.Helper()
+	union := make(map[string]value.Tuple)
+	d.EnumerateWorlds(func(_ []int, world *relation.Overlay) bool {
+		tuples, err := query.EvalTuples(q, world)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow := make(map[string]bool)
-		d.EnumerateWorlds(func(_ []int, world *relation.Overlay) bool {
-			tuples, err := query.EvalTuples(q, world)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tp := range tuples {
-				slow[tp.String()] = true
-			}
-			return true
-		})
-		if len(fast) != len(slow) {
-			t.Logf("seed %d: fast %d answers, slow %d", seed, len(fast), len(slow))
-			return false
-		}
-		for _, tp := range fast {
-			if !slow[tp.String()] {
-				return false
-			}
+		for _, tp := range tuples {
+			union[tp.Key()] = tp
 		}
 		return true
+	})
+	out := make([]value.Tuple, 0, len(union))
+	for _, tp := range union {
+		out = append(out, tp)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
+	sorted, _ := sortTuples(out, nil)
+	return tupleStrings(sorted)
+}
+
+// TestPossibleAnswersBilledToQuery: the candidate checks are billed to
+// the answer query's own text under the caller's tenant, one sketch key
+// for the whole call, and none to the bound candidate texts.
+func TestPossibleAnswersBilledToQuery(t *testing.T) {
+	d := fixture.PaperDB()
+	q := query.MustParse("q(pk) :- TxOut(t, s, pk, a), a >= 1")
+	ctx := obs.WithPrincipal(context.Background(), "answers-billing", "")
+	got, err := PossibleAnswers(ctx, d, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := obs.DumpAttrib(obs.DefaultAccountant, 0)
+	var checks int64
+	for _, e := range dump.Dimensions[obs.DimQuery] {
+		if e.Key == q.String() {
+			checks = e.Checks
+		}
+		for _, tp := range got {
+			if bound, _ := query.Simplify(q.Bind(tp)); e.Key == bound.String() {
+				t.Errorf("candidate %v billed to its own query text %q", tp, e.Key)
+			}
+		}
+	}
+	if checks < int64(len(got)) {
+		t.Errorf("%d checks billed to %q, want at least one per possible answer (%d)", checks, q, len(got))
 	}
 }
 
@@ -183,9 +252,9 @@ func TestAnswersValidation(t *testing.T) {
 
 // TestAnswersHonourCancellation: a cancelled context stops both answer
 // functions with ErrUndecided instead of an answer, on a positive query
-// (maximal-clique search) and on a query with negation (world
-// enumeration), whether it is cancelled before the call or during the
-// search.
+// and on a query with negation, whether it is cancelled before the call
+// or during the search: CertainAnswers' world enumeration, or
+// PossibleAnswers' loop of candidate checks.
 func TestAnswersHonourCancellation(t *testing.T) {
 	d := fixture.PaperDB()
 	queries := []string{

@@ -21,9 +21,10 @@ type Algorithm int
 const (
 	// AlgoAuto picks the best applicable algorithm: the PTIME
 	// fd-only solver when the constraints have no inclusion
-	// dependencies and the query is conjunctive; OptDCSat for
-	// connected monotone queries; NaiveDCSat for other monotone
-	// queries; and the exhaustive checker otherwise.
+	// dependencies and the query is conjunctive or an aggregate in
+	// that solver's fragment (see AlgoFDOnly); OptDCSat for connected
+	// monotone queries; NaiveDCSat for other monotone queries; and the
+	// exhaustive checker otherwise.
 	AlgoAuto Algorithm = iota
 	// AlgoNaive is the paper's NaiveDCSat: enumerate maximal cliques
 	// of the fd-transaction graph over all pending transactions.

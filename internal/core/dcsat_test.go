@@ -477,9 +477,20 @@ func bitcoinLikeDB(r *rand.Rand) *possible.DB {
 	return possible.MustNew(s, cons, pending)
 }
 
+// oracleDB draws a database for the clique-vs-exhaustive oracles: half
+// the time from bitcoinLikeDB, otherwise from walkDB, whose dead
+// transactions and pending-to-pending spends exercise the live filter
+// and inclusion-dependency chains.
+func oracleDB(r *rand.Rand) *possible.DB {
+	if r.Intn(2) == 0 {
+		return bitcoinLikeDB(r)
+	}
+	return walkDB(r)
+}
+
 // TestCliqueAlgorithmsAgainstExhaustive: NaiveDCSat, OptDCSat (serial
 // and parallel), and exhaustive enumeration agree on random
-// Bitcoin-like databases for monotone connected queries.
+// Bitcoin-like databases (see oracleDB) for monotone connected queries.
 func TestCliqueAlgorithmsAgainstExhaustive(t *testing.T) {
 	queries := []string{
 		"q() :- TxOut(t, s, 'U0Pk', a)",
@@ -491,7 +502,7 @@ func TestCliqueAlgorithmsAgainstExhaustive(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		d := bitcoinLikeDB(r)
+		d := oracleDB(r)
 		q := query.MustParse(queries[r.Intn(len(queries))])
 		want, err := Check(context.Background(), d, q, Options{Algorithm: AlgoExhaustive})
 		if err != nil {

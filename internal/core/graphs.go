@@ -76,24 +76,6 @@ func (cg *fdCompGraph) dense() *graph.Undirected {
 	return g
 }
 
-// maximalCliques enumerates the maximal cliques of the full component
-// graph as slices of GLOBAL pending indexes: each maximal clique of
-// the conflicted subgraph, completed with every universal member. The
-// slice passed to yield is reused across calls; returning false stops
-// the enumeration. A component with no conflicts yields exactly one
-// clique — all members (the empty conflicted graph contributes its
-// single empty clique).
-func (cg *fdCompGraph) maximalCliques(yield func(members []int) bool) {
-	out := make([]int, 0, len(cg.members))
-	graph.MaximalCliques(cg.g, func(clique []int) bool {
-		out = append(out[:0], cg.universal...)
-		for _, v := range clique {
-			out = append(out, cg.conflicted[v])
-		}
-		return yield(out)
-	})
-}
-
 // fdConflictPairs finds the conflict pairs (non-edges) of the paper's
 // fd-transaction graph G^fd_T restricted to the pending transactions at
 // the given (global) indexes, as deduplicated pairs of local indexes

@@ -45,18 +45,18 @@ var incrementalQueries = []string{
 }
 
 // TestIncrementalWorldsDifferential is the incremental clique search's
-// oracle: on random Bitcoin-like databases (at most 4 pending
-// transactions, so Poss(D) is small) NaiveDCSat and OptDCSat must
-// agree with exhaustive enumeration of every possible world, serial
-// and branch-parallel alike, and any witness must be a reachable world
-// that satisfies the query. Each check runs twice on a database of its
-// own: cold, building the prepared root (NaiveDCSat) or the query's
-// split (OptDCSat), then warm, sharing it. Both must agree with the
-// exhaustive check, with equal witnesses.
+// oracle: on small random Bitcoin-like databases (see oracleDB)
+// NaiveDCSat and OptDCSat must agree with exhaustive enumeration of
+// every possible world, serial and branch-parallel alike, and any
+// witness must be a reachable world that satisfies the query. Each
+// check runs twice on a database of its own: cold, building the
+// prepared root (NaiveDCSat) or the query's split (OptDCSat), then
+// warm, sharing it. Both must agree with the exhaustive check, with
+// equal witnesses.
 func TestIncrementalWorldsDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		d := bitcoinLikeDB(r)
+		d := oracleDB(r)
 		q := query.MustParse(incrementalQueries[r.Intn(len(incrementalQueries))])
 		want, err := Check(context.Background(), d, q, Options{Algorithm: AlgoExhaustive})
 		if err != nil {

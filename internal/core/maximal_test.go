@@ -7,24 +7,28 @@ import (
 	"testing/quick"
 
 	"blockchaindb/internal/fixture"
+	"blockchaindb/internal/graph"
 	"blockchaindb/internal/possible"
 	"blockchaindb/internal/relation"
 )
 
 // maximalWorldsByCliques enumerates the worlds NaiveDCSat evaluates:
-// getMaximal over each maximal clique of G^fd_T (live transactions),
-// deduplicated by included set.
+// getMaximal over each maximal clique of G^fd_T (live transactions):
+// each maximal clique of the conflicted members completed with the
+// universal ones, deduplicated by included set.
 func maximalWorldsByCliques(d *possible.DB) map[string][]int {
 	live := liveTransactions(d)
 	cg := buildFDGraph(d, live)
 	out := make(map[string][]int)
-	cg.maximalCliques(func(clique []int) bool {
-		subset := append([]int(nil), clique...)
+	for _, clique := range graph.AllMaximalCliques(cg.g) {
+		subset := append([]int(nil), cg.universal...)
+		for _, v := range clique {
+			subset = append(subset, cg.conflicted[v])
+		}
 		_, included := d.GetMaximal(subset)
 		sort.Ints(included)
 		out[supportKey(included)] = included
-		return true
-	})
+	}
 	return out
 }
 

@@ -231,6 +231,7 @@ func TestMonitorCheckCompilesOnce(t *testing.T) {
 		NewMonitor(fixture.PaperDB(), WithTenant("a")),
 		NewMonitor(fixture.PaperDB(), WithTenant("b")),
 	}
+	restartPlanCache(t, tenants[0].db.State)
 	misses := func() int64 { return obs.Default.Snapshot().Counters[obs.MetricQueryPlanCacheMiss] }
 	before := misses()
 	for i := 0; i < 5; i++ {
@@ -243,4 +244,28 @@ func TestMonitorCheckCompilesOnce(t *testing.T) {
 	if got := misses() - before; got != int64(len(tenants)) {
 		t.Errorf("%d checks over %d tenants compiled %d plans, want one per tenant", 5*len(tenants), len(tenants), got)
 	}
+}
+
+// restartPlanCache compiles throwaway plans until the plan cache
+// reaches its cap and drops everything (query.PlanFor), so that a test
+// counting compilations starts far from the cap, whatever earlier tests
+// compiled. Otherwise a test starting one plan short of the cap sees
+// its own first plan dropped and compiled again.
+func restartPlanCache(t *testing.T, v relation.View) {
+	t.Helper()
+	sentinel := query.MustParse("q() :- TxOut(t, s, 'PlanCacheSentinel', a)")
+	first, err := query.PlanFor(sentinel, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4*256; i++ {
+		filler := query.MustParse(fmt.Sprintf("q() :- TxOut(t, s, 'PlanCacheFiller%d', a)", i))
+		if _, err := query.PlanFor(filler, v); err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := query.PlanFor(sentinel, v); p != first {
+			return
+		}
+	}
+	t.Fatal("the plan cache never dropped the sentinel plan")
 }

@@ -1,5 +1,7 @@
 package query
 
+import "blockchaindb/internal/value"
+
 // Simplify rewrites the query into an equivalent, usually cheaper form:
 //
 //   - constant⋈constant comparisons are folded away (a false one makes
@@ -19,21 +21,7 @@ package query
 // query unsatisfiable on every database (the caller can then report a
 // denial constraint as trivially satisfied). The input is not modified.
 func Simplify(q *Query) (*Query, bool) {
-	out := &Query{
-		Name:     q.Name,
-		HeadVars: append([]string(nil), q.HeadVars...),
-		Atoms:    make([]Atom, len(q.Atoms)),
-	}
-	for i, a := range q.Atoms {
-		out.Atoms[i] = Atom{Rel: a.Rel, Args: append([]Term(nil), a.Args...), Negated: a.Negated}
-	}
-	out.Comparisons = append(out.Comparisons, q.Comparisons...)
-	if q.Agg != nil {
-		agg := *q.Agg
-		agg.Vars = append([]string(nil), q.Agg.Vars...)
-		out.Agg = &agg
-	}
-
+	out := q.clone()
 	pinned := make(map[string]bool) // vars that must stay variables
 	for _, v := range out.HeadVars {
 		pinned[v] = true
@@ -98,6 +86,38 @@ func Simplify(q *Query) (*Query, bool) {
 	}
 	dedup(out)
 	return out, true
+}
+
+// Bind returns the Boolean query q_t: q with each head variable
+// replaced by the value of t at its position, so that q_t holds in a
+// world exactly when q returns t there. t must carry one value per head
+// variable. The input is not modified.
+func (q *Query) Bind(t value.Tuple) *Query {
+	out := q.clone()
+	out.HeadVars = nil
+	for i, v := range q.HeadVars {
+		substituteVar(out, v, C(t[i]))
+	}
+	return out
+}
+
+// clone returns a copy of q that a rewrite may modify in place.
+func (q *Query) clone() *Query {
+	out := &Query{
+		Name:     q.Name,
+		HeadVars: append([]string(nil), q.HeadVars...),
+		Atoms:    make([]Atom, len(q.Atoms)),
+	}
+	for i, a := range q.Atoms {
+		out.Atoms[i] = Atom{Rel: a.Rel, Args: append([]Term(nil), a.Args...), Negated: a.Negated}
+	}
+	out.Comparisons = append(out.Comparisons, q.Comparisons...)
+	if q.Agg != nil {
+		agg := *q.Agg
+		agg.Vars = append([]string(nil), q.Agg.Vars...)
+		out.Agg = &agg
+	}
+	return out
 }
 
 // substituteVar replaces every occurrence of the variable with the term

@@ -124,6 +124,20 @@ func TestSimplifyDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestBind: each head variable becomes its value everywhere it occurs,
+// the result is Boolean, and the input is left as it was.
+func TestBind(t *testing.T) {
+	q := MustParse("q(x, y) :- R(x, z), S(z, y), !S(x, x), y > 2")
+	before := q.String()
+	b := q.Bind(value.NewTuple(value.Int(1), value.Str("a")))
+	if want := "q() :- R(1, z), S(z, 'a'), !S(1, 1), 'a' > 2"; b.String() != want {
+		t.Errorf("Bind = %s, want %s", b, want)
+	}
+	if !b.IsBoolean() || q.String() != before {
+		t.Errorf("Bind left a head (%v) or mutated its input (%s)", b.HeadVars, q)
+	}
+}
+
 // TestSimplifyEquivalence is the semantic contract: on random databases
 // the simplified query evaluates identically to the original.
 func TestSimplifyEquivalence(t *testing.T) {
